@@ -57,6 +57,7 @@ from repro.serving import (
     FaultSchedule,
     OpenLoopArrivals,
     RandomFaults,
+    ServingConfig,
     ShardedServiceCluster,
     SLOPolicy,
     TraceArrivals,
@@ -207,9 +208,11 @@ def run(quick: bool = False) -> Dict:
         slo = SLOPolicy(default_slo_seconds=slo_seconds)
         return cluster.serve_online(
             TraceArrivals(trace),
-            slo=slo,
-            admission=AdmissionController(policy=slo),
-            faults=_outage_schedule(horizon, fault_aware),
+            config=ServingConfig(
+                slo=slo,
+                controller=AdmissionController(policy=slo),
+                faults=_outage_schedule(horizon, fault_aware),
+            ),
         )
 
     oblivious = serve(fault_aware=False)
@@ -263,13 +266,15 @@ def run(quick: bool = False) -> Dict:
     stress_started = time.perf_counter()
     stress_report = stress_cluster.serve_online(
         TraceArrivals(stress_trace),
-        slo=slo,
-        admission=AdmissionController(policy=slo, record_decisions=False),
-        autoscaler=Autoscaler(
-            min_shards=2, max_shards=NUM_SHARDS, scale_up_depth=4.0,
-            scale_down_depth=0.5, hysteresis_observations=3,
+        config=ServingConfig(
+            slo=slo,
+            controller=AdmissionController(policy=slo, record_decisions=False),
+            autoscaler=Autoscaler(
+                min_shards=2, max_shards=NUM_SHARDS, scale_up_depth=4.0,
+                scale_down_depth=0.5, hysteresis_observations=3,
+            ),
+            faults=stress_faults,
         ),
-        faults=stress_faults,
     )
     stress_seconds = time.perf_counter() - stress_started
     stress_goodput = stress_report.goodput

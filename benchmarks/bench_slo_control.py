@@ -46,6 +46,7 @@ from repro.serving import (
     Autoscaler,
     BatchScheduler,
     ClosedLoopClients,
+    ServingConfig,
     ServingController,
     ShardedServiceCluster,
     SLOPolicy,
@@ -160,7 +161,9 @@ def run(quick: bool = False) -> Dict:
     uncontrolled_cluster = ShardedServiceCluster(
         template, num_shards=NUM_SHARDS, scheduler=scheduler
     )
-    uncontrolled = uncontrolled_cluster.serve_online(clients(), slo=slo)
+    uncontrolled = uncontrolled_cluster.serve_online(
+        clients(), config=ServingConfig(slo=slo)
+    )
 
     controlled_cluster = ShardedServiceCluster(
         template, num_shards=NUM_SHARDS, scheduler=scheduler

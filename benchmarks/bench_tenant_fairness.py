@@ -53,6 +53,7 @@ from repro.serving import (
     BatchScheduler,
     BurstyArrivals,
     OpenLoopArrivals,
+    ServingConfig,
     ServingController,
     ShardedServiceCluster,
     SLOPolicy,
@@ -216,7 +217,9 @@ def run(quick: bool = False) -> Dict:
         template, num_shards=NUM_SHARDS, scheduler=scheduler_off
     )
     slo_off = SLOPolicy(default_slo_seconds=slo_seconds)
-    fairness_off = off_cluster.serve_online(TraceArrivals(trace), slo=slo_off)
+    fairness_off = off_cluster.serve_online(
+        TraceArrivals(trace), config=ServingConfig(slo=slo_off)
+    )
 
     # -------------------------------------------------------- fairness on
     tenant_weights = {tenant: weight for tenant, _, _, weight in TENANT_MIX}

@@ -14,9 +14,9 @@ traffic regime:
   (:class:`TenantFairBatcher`).
 * :mod:`repro.serving.cluster` — N-way replicated GNN services with
   round-robin / least-loaded / reconfiguration-state-aware locality dispatch,
-  an offline trace-replay loop and an online co-simulated event loop, merged
-  into cluster reports (throughput, latency percentiles, queueing
-  decomposition, utilisation, goodput/shed accounting).
+  offline trace replay and online co-simulation, merged into cluster
+  reports (throughput, latency percentiles, queueing decomposition,
+  utilisation, goodput/shed accounting).
 * :mod:`repro.serving.control` — the SLO-aware control plane: per-workload
   latency objectives, per-tenant quotas (:class:`TenantQuota`: guaranteed
   rates, weighted excess shedding, hard caps), predictive / batching-aware
@@ -26,13 +26,12 @@ traffic regime:
   warm-up penalties.
 * :mod:`repro.serving.config` — :class:`ServingConfig`, the validated
   configuration object behind ``serve_trace(trace, config=...)`` /
-  ``serve_online(source, config=...)``; the legacy per-call keyword
-  arguments remain available through a ``DeprecationWarning`` shim.
+  ``serve_online(source, config=...)``.
 * :mod:`repro.serving.faults` — deterministic shard failure injection
   (:class:`FaultSchedule`: crash / recover / slowdown events, or a seeded
   :class:`RandomFaults` generator) with drain-and-migrate recovery, retry
   with exponential backoff, and exact served/shed/failed conservation —
-  consumed identically by both engines.  The same machinery backs
+  consumed identically under both engines.  The same machinery backs
   *voluntary* drains (:class:`DrainPlanner`): an autoscaler scale-down
   with ``drain=True`` migrates queued work to surviving shards instead of
   stranding it on the deactivated shard.
@@ -49,10 +48,13 @@ traffic regime:
   asserting request conservation, engine byte-identity, no dispatch onto
   dead or deactivated shards, retry-budget compliance and lease accounting
   on every run (``python -m repro.serving.chaos``).
-* :mod:`repro.serving.engine` — the fast serving engine behind
-  ``ShardedServiceCluster(engine="fast")`` (the default): serve-transition
-  caching, array-level batch formation, shard/deadline heaps and streaming
-  report aggregates, byte-identical to the reference loops and >= 5x
+* :mod:`repro.serving.engine` — the serving loops, written once: an
+  offline replay and an online co-simulation, each run over a *shard lane*
+  that owns what the two engines differ in.  ``engine="reference"`` runs
+  the plain lane (busy-list scan, direct pricing, per-request records);
+  ``engine="fast"`` (the default) runs the indexed lane (shard heap,
+  serve-transition caching, streaming report aggregates) plus an
+  array-native offline replay, byte-identical to the reference and >= 5x
   faster on 20k-request traces (100k requests in seconds).
 """
 

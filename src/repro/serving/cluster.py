@@ -4,7 +4,8 @@ A :class:`ShardedServiceCluster` replicates one template
 :class:`~repro.system.service.GNNService` into ``num_shards`` independent
 shards (each with its own preprocessing-system state — bitstream/LUT
 configuration, reconfiguration history — via ``GNNService.replicate``) and
-serves traffic through one of two event loops:
+serves traffic in one of two modes (the event loops themselves live in
+:mod:`repro.serving.engine`):
 
 * :meth:`ShardedServiceCluster.serve_trace` — offline replay: a complete
   :class:`~repro.serving.requests.RequestTrace` is batched up front by the
@@ -33,12 +34,9 @@ runs — the goodput / shed-rate accounting and the scaling timeline.
 
 from __future__ import annotations
 
-import heapq
-import warnings
 import zlib
-from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 from repro.analysis.metrics import GoodputStats, LatencyStats, TenantStats
@@ -48,20 +46,12 @@ if TYPE_CHECKING:  # control.py only imports repro.system.workload — no cycle,
     # one-way.
     from repro.serving.config import ServingConfig
     from repro.serving.control import (
-        AdmissionController,
         AdmissionDecision,
-        Autoscaler,
         DegradationPolicy,
         ScalingEvent,
         SLOPolicy,
     )
-from repro.serving.faults import (
-    DrainPlanner,
-    FaultLoopHooks,
-    FaultSchedule,
-    FaultStats,
-    due,
-)
+from repro.serving.faults import FaultStats
 from repro.serving.requests import InferenceRequest, RequestTrace
 from repro.serving.scheduler import BatchScheduler, RequestBatch
 from repro.serving.topology import PLACEMENT_SPREAD, PLACEMENTS, ClusterTopology
@@ -77,8 +67,8 @@ POLICY_LEAST_LOADED = "least-loaded"
 POLICY_LOCALITY = "locality"
 DISPATCH_POLICIES = (POLICY_ROUND_ROBIN, POLICY_LEAST_LOADED, POLICY_LOCALITY)
 
-#: Serving engines: the reference per-request-object event loops below, or
-#: the indexed/caching fast engine in :mod:`repro.serving.engine`.  Both
+#: Serving engines: the same event loops (:mod:`repro.serving.engine`) over
+#: the plain reference shard lane or the indexed/caching fast lane.  Both
 #: produce byte-identical :class:`ClusterReport` content (golden- and
 #: property-test enforced); the fast engine is the default because it is the
 #: one that reaches 100k-request traces at interactive speed.
@@ -516,126 +506,6 @@ def _home_shard(batch: RequestBatch, num_candidates: int) -> int:
     return zlib.crc32(repr(batch.key).encode("utf-8")) % num_candidates
 
 
-def _admission_estimate(
-    template: GNNService,
-    request: InferenceRequest,
-    admission: "AdmissionController",
-    open_members: Optional[List[InferenceRequest]],
-) -> float:
-    """Service-time estimate the admission prediction charges ``request``.
-
-    The conservative default prices the request as a standalone pass.  With
-    ``admission.batch_aware`` and a compatible batch already forming, the
-    request is priced at its *marginal* merged-batch cost — the merged
-    pass with the request minus the pass already committed to — which is
-    what the batch will actually add to the shard's busy horizon (batched
-    preprocessing amortizes the fixed per-pass work).  Shared by both
-    serving engines so their float arithmetic is identical.
-    """
-    estimate = template.estimate_service_seconds(request.workload)
-    if admission.batch_aware and open_members:
-        base = open_members[0].workload
-        merged = sum(member.workload.batch_size for member in open_members)
-        forming = template.estimate_service_seconds(base.with_batch_size(merged))
-        joined = template.estimate_service_seconds(
-            base.with_batch_size(merged + request.workload.batch_size)
-        )
-        estimate = min(estimate, max(joined - forming, 0.0))
-    return estimate
-
-
-def _coerce_config(config: Optional["ServingConfig"], method: str, **legacy):
-    """Resolve the ``config=`` parameter against the legacy kwarg surface.
-
-    Passing both is an error; passing legacy kwargs alone emits a
-    ``DeprecationWarning`` and maps them onto an equivalent
-    :class:`~repro.serving.config.ServingConfig` (the mapped fields are the
-    very objects the old signature received, so reports are byte-identical
-    through the shim — regression-tested in ``tests/test_serving_config.py``).
-    """
-    from repro.serving.config import ServingConfig
-
-    provided = {name: value for name, value in legacy.items() if value is not None}
-    if config is not None:
-        if provided:
-            raise ValueError(
-                f"{method}: pass either config= or the legacy keyword arguments "
-                f"({sorted(provided)}), not both"
-            )
-        return config
-    if provided:
-        warnings.warn(
-            f"{method}({', '.join(sorted(provided))}=...) keyword arguments are "
-            "deprecated; pass config=ServingConfig(...) instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    provided["controller"] = provided.pop("admission", None)
-    return ServingConfig(
-        **{name: value for name, value in provided.items() if value is not None}
-    )
-
-
-class ShardLeaseTracker:
-    """Provisioned shard-seconds accounting for autoscaled online runs.
-
-    A shard's lease opens when it (re)enters the autoscaler's active
-    prefix and closes at a scale-down — at ``max(now, busy_until)``, when
-    the shard actually goes idle after finishing what it still holds.
-    With drain enabled the busy horizon has already dropped back to the
-    in-flight floor by then, which is exactly how voluntary drains save
-    shard-seconds: the leaving shard is not paid for backlog that migrated
-    away.  Leases still open when the run ends close at the run's last
-    finish.  Leases never overlap: a reactivation opens no earlier than
-    the shard's previous close, so a backlog paid through a scale-down is
-    not paid again after a scale-up.
-
-    Shared by the reference loop and the fast engine — both perform the
-    identical open/close sequence in event order, so the resulting
-    ``shard_seconds`` is byte-identical across engines.
-    """
-
-    def __init__(self, num_shards: int) -> None:
-        self._opened: List[Optional[float]] = [None] * num_shards
-        self._closed_at = [0.0] * num_shards
-        self.total = 0.0
-
-    def open(self, shard_id: int, now: float) -> None:
-        """Start the shard's lease at ``now`` (no-op when already open)."""
-        if self._opened[shard_id] is None:
-            self._opened[shard_id] = max(now, self._closed_at[shard_id])
-
-    def close(self, shard_id: int, seconds: float) -> None:
-        """End the shard's lease at ``seconds`` (clamped to its open)."""
-        opened = self._opened[shard_id]
-        if opened is None:
-            return
-        end = max(seconds, opened)
-        self.total += end - opened
-        self._closed_at[shard_id] = end
-        self._opened[shard_id] = None
-
-    def finish(self, end: float) -> float:
-        """Close every open lease at the run's end; returns the total."""
-        for shard_id, opened in enumerate(self._opened):
-            if opened is not None:
-                self.total += max(end, opened) - opened
-                self._opened[shard_id] = None
-        return self.total
-
-
-class _LoopState:
-    """Mutable accounting shared by the offline and online event loops."""
-
-    def __init__(self, num_shards: int) -> None:
-        self.busy_until = [0.0] * num_shards
-        self.busy_total = [0.0] * num_shards
-        self.shard_requests = [0] * num_shards
-        self.served: List[ServedRequest] = []
-        self.num_batches = 0
-        self.last_finish = 0.0
-
-
 class ShardedServiceCluster:
     """N replicated GNN services behind one queue and batch scheduler.
 
@@ -660,10 +530,10 @@ class ShardedServiceCluster:
             every alternating batch.  ``None`` (default) disables
             rebalancing.
         engine: one of :data:`ENGINES` — ``"fast"`` (default) runs the
-            indexed event-heap engine with serve-transition caching from
-            :mod:`repro.serving.engine`; ``"reference"`` runs the plain
-            per-request-object loops in this module.  Outputs are
-            byte-identical; only wall-clock differs.
+            serving loops of :mod:`repro.serving.engine` over the indexed
+            lane (shard heap, serve-transition caching, streaming
+            aggregates); ``"reference"`` runs the same loops over the plain
+            lane.  Outputs are byte-identical; only wall-clock differs.
         topology: optional :class:`~repro.serving.topology.ClusterTopology`
             mapping shards to failure domains.  With one, placement becomes
             domain-aware: the autoscaler's active set follows the
@@ -744,8 +614,8 @@ class ShardedServiceCluster:
     def _reset_dispatch_state(self) -> None:
         """Reset per-run dispatch memory (round-robin cursor, shard keys).
 
-        Both engines call this at the start of every run so dispatch
-        history never leaks across runs on the same cluster.
+        Every run calls this at its start so dispatch history never leaks
+        across runs on the same cluster.
         """
         self._rr_next = 0
         # Per shard: (workload key, ready time) of the last batch the
@@ -864,95 +734,6 @@ class ShardedServiceCluster:
             return home
         return min(candidates, key=lambda i: (busy_until[i], i))
 
-    def _dispatch(
-        self, batch: RequestBatch, state: _LoopState, active: Sequence[int]
-    ) -> float:
-        """Serve one closed batch on a shard; returns its finish time."""
-        shard_id = self._pick_shard(batch, state.busy_until, active)
-        start = max(batch.ready_seconds, state.busy_until[shard_id])
-        report = self.shards[shard_id].serve(batch.workload)
-        duration = report.total_seconds
-        finish = start + duration
-        state.busy_until[shard_id] = finish
-        state.busy_total[shard_id] += duration
-        state.shard_requests[shard_id] += len(batch)
-        state.num_batches += 1
-        state.last_finish = max(state.last_finish, finish)
-        for request in batch.requests:
-            state.served.append(
-                ServedRequest(
-                    request=request,
-                    shard_id=shard_id,
-                    batch_size=len(batch),
-                    batching_delay=batch.batching_delay(request),
-                    dispatch_delay=start - batch.ready_seconds,
-                    service_seconds=duration,
-                    report=report,
-                )
-            )
-        return finish
-
-    def _fault_hooks(
-        self,
-        state: _LoopState,
-        active_count,
-        on_commit=None,
-        on_failed=None,
-    ) -> FaultLoopHooks:
-        """Reference-engine view of the loop state for the fault runtime.
-
-        ``on_commit`` / ``on_failed`` are the online loop's extra effects
-        (completion feedback to the arrival source, pending-estimate
-        bookkeeping); the offline replay leaves them unset.
-        """
-
-        def serve(shard_id: int, workload):
-            report = self.shards[shard_id].serve(workload)
-            return report, report.total_seconds
-
-        def set_busy(shard_id: int, seconds: float) -> None:
-            state.busy_until[shard_id] = seconds
-
-        def add_busy(shard_id: int, seconds: float) -> None:
-            state.busy_total[shard_id] += seconds
-
-        def commit(batch, shard_id, start, duration, report, finish) -> None:
-            state.shard_requests[shard_id] += len(batch)
-            state.num_batches += 1
-            state.last_finish = max(state.last_finish, finish)
-            for request in batch.requests:
-                state.served.append(
-                    ServedRequest(
-                        request=request,
-                        shard_id=shard_id,
-                        batch_size=len(batch),
-                        batching_delay=batch.batching_delay(request),
-                        dispatch_delay=start - batch.ready_seconds,
-                        service_seconds=duration,
-                        report=report,
-                    )
-                )
-            if on_commit is not None:
-                on_commit(batch, finish)
-
-        order = self._order
-        return FaultLoopHooks(
-            active_count=active_count,
-            active_ids=(
-                (lambda: order[: active_count()]) if order is not None else None
-            ),
-            busy=lambda shard_id: state.busy_until[shard_id],
-            set_busy=set_busy,
-            add_busy=add_busy,
-            merged=lambda batch: batch.workload,
-            pick=lambda batch, workload, active: self._pick_shard(
-                batch, state.busy_until, active
-            ),
-            serve=serve,
-            commit=commit,
-            on_failed=on_failed if on_failed is not None else lambda request, seconds: None,
-        )
-
     @contextmanager
     def _run_overrides(self, config: "ServingConfig"):
         """Apply a config's engine/scheduler overrides for one run.
@@ -991,31 +772,28 @@ class ShardedServiceCluster:
 
     # --------------------------------------------------------------- serving
     def serve_trace(
-        self,
-        trace: RequestTrace,
-        slo: Optional["SLOPolicy"] = None,
-        faults: Optional[FaultSchedule] = None,
-        *,
-        config: Optional["ServingConfig"] = None,
+        self, trace: RequestTrace, *, config: Optional["ServingConfig"] = None
     ) -> ClusterReport:
         """Replay a trace through the cluster and merge the outcome.
 
         Event-driven and fully simulated: batches are dispatched in the
         order they close; a batch starts at ``max(ready, shard free)`` and
         occupies its shard for the batch's modelled end-to-end latency.
-        ``slo`` (an :class:`~repro.serving.control.SLOPolicy`) only scores
-        the run's goodput section; the offline path never sheds.  With a
-        ``faults`` schedule the replay injects shard crash/recover/slowdown
-        events: doomed batches migrate to survivors, in-flight failures
-        retry with backoff, and the report carries a faults section.
-
-        ``config`` (a :class:`~repro.serving.config.ServingConfig`) is the
-        consolidated way to pass all of the above plus per-run engine and
-        tenant-weight overrides; the loose ``slo`` / ``faults`` kwargs are a
-        deprecated shim onto it.  Admission control, degradation and
-        autoscaling are online-only and rejected here.
+        ``config`` (a :class:`~repro.serving.config.ServingConfig`) carries
+        the run's options: an SLO only scores the run's goodput section
+        (the offline path never sheds); a fault schedule injects shard
+        crash/recover/slowdown events — doomed batches migrate to
+        survivors, in-flight failures retry with backoff (each retry goes
+        out as its own batch), and the report carries a faults section;
+        ``engine`` / ``tenant_weights`` / ``topology`` / ``placement``
+        override the cluster's own choices for this run.  Admission
+        control, degradation and autoscaling are online-only and rejected
+        here.  The loop itself lives in :mod:`repro.serving.engine`.
         """
-        config = _coerce_config(config, "serve_trace", slo=slo, faults=faults)
+        from repro.serving.config import ServingConfig
+        from repro.serving.engine import serve_trace
+
+        config = config if config is not None else ServingConfig()
         if config.autoscaler is not None:
             raise ValueError("serve_trace is offline: autoscaler requires serve_online")
         if config.resolved_controller() is not None:
@@ -1023,65 +801,15 @@ class ShardedServiceCluster:
                 "serve_trace is offline and never sheds: admission control "
                 "(controller/admit/degradation) requires serve_online"
             )
-        slo = config.scoring_slo()
-        faults = config.resolved_faults()
         if not len(trace):
             raise ValueError("cannot serve an empty trace")
         with self._run_overrides(config):
-            return self._serve_trace_resolved(trace, slo, faults)
-
-    def _serve_trace_resolved(
-        self,
-        trace: RequestTrace,
-        slo: Optional["SLOPolicy"],
-        faults: Optional[FaultSchedule],
-    ) -> ClusterReport:
-        if self.engine == ENGINE_FAST:
-            from repro.serving.engine import serve_trace_fast
-
-            return serve_trace_fast(self, trace, slo, faults)
-        self._reset_dispatch_state()
-        batches = self.scheduler.schedule(trace)
-        state = _LoopState(self.num_shards)
-        fault_stats: Optional[FaultStats] = None
-        if faults is None:
-            active = self._order if self._order is not None else range(self.num_shards)
-            for batch in batches:
-                self._dispatch(batch, state, active)
-        else:
-            ctx = faults.runtime(
-                self.num_shards, slo, order=self._order, topology=self.topology
+            return serve_trace(
+                self, trace, config.scoring_slo(), config.resolved_faults()
             )
-            env = self._fault_hooks(state, lambda: self.num_shards)
-            for batch in batches:
-                ctx.step(env, batch)
-            ctx.drain(env)
-            fault_stats = ctx.finalize(trace[0].arrival_seconds, state.last_finish)
-        first_arrival = trace[0].arrival_seconds
-        # A faulted replay can fail every request; an empty run has no span.
-        makespan = state.last_finish - first_arrival if state.served else 0.0
-        return ClusterReport(
-            system=self.system_name,
-            policy=self.policy,
-            num_shards=self.num_shards,
-            served=state.served,
-            num_batches=state.num_batches,
-            makespan_seconds=makespan,
-            shard_busy_seconds=state.busy_total,
-            shard_requests=state.shard_requests,
-            slo=slo,
-            faults=fault_stats,
-        )
 
     def serve_online(
-        self,
-        source,
-        slo: Optional["SLOPolicy"] = None,
-        admission: Optional["AdmissionController"] = None,
-        autoscaler: Optional["Autoscaler"] = None,
-        faults: Optional[FaultSchedule] = None,
-        *,
-        config: Optional["ServingConfig"] = None,
+        self, source, *, config: Optional["ServingConfig"] = None
     ) -> ClusterReport:
         """Drain an arrival source through the online co-simulated event loop.
 
@@ -1090,452 +818,68 @@ class ShardedServiceCluster:
         :class:`~repro.serving.requests.TraceArrivals` replays a fixed trace,
         :class:`~repro.serving.requests.ClosedLoopClients` co-simulates a
         client population fed by this loop's actual finish times.
+        ``config`` (a :class:`~repro.serving.config.ServingConfig`) carries
+        the whole control plane plus per-run engine, tenant-weight and
+        topology overrides.
 
-        The loop interleaves two event kinds in simulated-time order —
-        arrivals and batch-timeout deadlines (ties fire the deadline first,
-        matching the offline scheduler) — and batches close under the same
-        size-or-timeout policy as :class:`BatchScheduler`.  At every arrival
-        the control plane hooks run in order:
+        The loop interleaves arrivals and batch-timeout deadlines in
+        simulated-time order (ties fire the deadline first, matching the
+        offline scheduler), and batches close under the same
+        size-or-timeout policy as :class:`BatchScheduler`.  At every
+        arrival the control plane hooks run in order:
 
         1. ``autoscaler.observe`` sees the queue depth — the arriving
            request, requests in open batches, requests in flight, and
            recently shed arrivals (shed demand within the autoscaler's
            ``shed_memory_seconds`` still signals overload) — and may
            activate a shard, which is then warm-up-penalised (bitstream
-           load) before it can start a batch, or drain one (it finishes its
-           backlog but receives nothing new).
+           load) before it can start a batch, or deactivate one.  With the
+           autoscaler's ``drain=True`` default a leaving shard's
+           planned-but-unstarted batches migrate to the survivors.
         2. ``admission.decide`` predicts the request's sojourn from the
            least-loaded active shard's backlog plus the calibrated cost
            estimate and sheds the request if the prediction violates its
-           SLO; sheds are reported back to the source immediately.
+           SLO; sheds are reported back to the source immediately.  With a
+           :class:`~repro.serving.control.DegradationPolicy` a request
+           whose full-quality prediction violates its SLO is re-priced at
+           its cheaper degraded profile (own batch key, own batches) and
+           served degraded when that prediction fits.
 
-        Completion times are committed at batch dispatch (the simulation is
-        deterministic, so the finish instant is known then) and fed to the
-        source, which is what lets closed-loop clients issue their next
+        Completion times are committed at batch dispatch (the simulation
+        is deterministic, so the finish instant is known then) and fed to
+        the source, which is what lets closed-loop clients issue their next
         request only after their previous one actually finished.
 
-        With a ``faults`` schedule the loop interleaves two more event
-        kinds — fault events and retry timers — with the precedence
-        ``fault < deadline < retry < arrival`` at timestamp ties.  Dispatch
-        then goes through the shared fault runtime: dead shards leave the
+        With a fault schedule the loop interleaves two more event kinds —
+        fault events and retry timers — with the precedence ``fault <
+        deadline < retry < arrival`` at timestamp ties.  Dispatch then goes
+        through the shared fault runtime: dead shards leave the
         dispatchable set (live standby shards past the autoscaler's prefix
         replace them), doomed batches drain and migrate, in-flight failures
-        retry with exponential backoff until their budget is spent, and the
-        admission backlog prediction only counts live shards.
-
-        ``config`` (a :class:`~repro.serving.config.ServingConfig`) is the
-        consolidated way to pass the whole control plane plus per-run engine
-        and tenant-weight overrides; the loose keyword arguments are a
-        deprecated shim onto it.  With a
-        :class:`~repro.serving.control.DegradationPolicy` configured, the
-        admission chain gains a degraded-quality tier: a request whose
-        full-quality prediction violates its SLO is re-priced at its cheaper
-        degraded profile (own batch key, own batches) and served degraded
-        when that prediction fits — shed only when even the degraded tier
-        cannot meet the SLO and no excess budget covers it.
+        re-enqueue into the open batches after an exponential backoff until
+        their budget is spent, and the admission backlog prediction only
+        counts live shards.  The loop itself lives in
+        :mod:`repro.serving.engine`.
         """
-        config = _coerce_config(
-            config,
-            "serve_online",
-            slo=slo,
-            admission=admission,
-            autoscaler=autoscaler,
-            faults=faults,
-        )
-        slo = config.scoring_slo()
-        admission = config.resolved_controller()
+        from repro.serving.config import ServingConfig
+        from repro.serving.engine import serve_online
+
+        config = config if config is not None else ServingConfig()
         autoscaler = config.autoscaler
-        faults = config.resolved_faults()
         if autoscaler is not None and autoscaler.max_shards > self.num_shards:
             raise ValueError(
                 f"autoscaler max_shards ({autoscaler.max_shards}) exceeds the "
                 f"cluster's shard count ({self.num_shards})"
             )
         with self._run_overrides(config):
-            return self._serve_online_resolved(source, slo, admission, autoscaler, faults)
-
-    def _serve_online_resolved(
-        self,
-        source,
-        slo: Optional["SLOPolicy"],
-        admission: Optional["AdmissionController"],
-        autoscaler: Optional["Autoscaler"],
-        faults: Optional[FaultSchedule],
-    ) -> ClusterReport:
-        if self.engine == ENGINE_FAST:
-            from repro.serving.engine import serve_online_fast
-
-            return serve_online_fast(self, source, slo, admission, autoscaler, faults)
-        self._reset_dispatch_state()
-        state = _LoopState(self.num_shards)
-        fair = self.scheduler.fair
-        batcher = self.scheduler.fair_batcher() if fair else None
-        open_members: Dict[object, List[InferenceRequest]] = {}
-        open_deadline: Dict[object, float] = {}
-        inflight: List[float] = []
-        shed_records: List[ShedRecord] = []
-        decisions: List[object] = []
-        # Estimated cost of requests admitted but not yet dispatched, so a
-        # same-instant arrival burst cannot all be admitted against the same
-        # (still-empty) shard backlog.
-        pending_estimates: Dict[int, float] = {}
-        # Arrival times of recent sheds: demand the autoscaler must still see.
-        recent_sheds: deque = deque()
-        active_count = self.num_shards
-        start_seconds = 0.0
-        if autoscaler is not None:
-            first_peek = source.peek_time()
-            start_seconds = first_peek if first_peek is not None else 0.0
-            active_count = autoscaler.start(start_seconds)
-        if admission is not None:
-            admission.reset()
-        first_arrival: Optional[float] = None
-        # Guaranteed-tier tenants whose open-queue pressure a tenant-aware
-        # autoscaler watches separately from the global depth.
-        guaranteed_tenants: Optional[frozenset] = None
-        if autoscaler is not None and autoscaler.tenant_aware and slo is not None:
-            guaranteed_tenants = frozenset(
-                tenant
-                for tenant, quota in slo.per_tenant.items()
-                if quota.guaranteed_rps > 0
+            return serve_online(
+                self,
+                source,
+                config.scoring_slo(),
+                config.resolved_controller(),
+                autoscaler,
+                config.resolved_faults(),
             )
-        guaranteed_open = 0
-        ctx = (
-            faults.runtime(
-                self.num_shards, slo, order=self._order, topology=self.topology
-            )
-            if faults is not None
-            else None
-        )
-        planner = (
-            DrainPlanner(self.num_shards)
-            if autoscaler is not None and autoscaler.drain
-            else None
-        )
-        if ctx is not None and planner is not None:
-            ctx.attach_planner(planner)
-        order = self._order
-
-        def active_ids() -> Sequence[int]:
-            """The active shard set in activation order (identity w/o topology)."""
-            return order[:active_count] if order is not None else range(active_count)
-
-        leases: Optional[ShardLeaseTracker] = None
-        if autoscaler is not None:
-            leases = ShardLeaseTracker(self.num_shards)
-            for shard_id in active_ids():
-                leases.open(shard_id, start_seconds)
-
-        def dispatch_batch(batch: RequestBatch) -> None:
-            nonlocal guaranteed_open
-            if guaranteed_tenants:
-                for request in batch.requests:
-                    if request.tenant in guaranteed_tenants:
-                        guaranteed_open -= 1
-            if ctx is not None:
-                ctx.dispatch(batch, env)
-                return
-            if planner is not None:
-                planner.dispatch(batch, env)
-                return
-            finish = self._dispatch(batch, state, active_ids())
-            for request in batch.requests:
-                pending_estimates.pop(request.request_id, None)
-                heapq.heappush(inflight, finish)
-                source.on_complete(request, finish)
-
-        def close_batch(key: object, ready_seconds: float) -> None:
-            members = open_members.pop(key)
-            open_deadline.pop(key)
-            dispatch_batch(RequestBatch(requests=members, ready_seconds=ready_seconds))
-
-        def commit_online(batch: RequestBatch, finish: float) -> None:
-            for request in batch.requests:
-                pending_estimates.pop(request.request_id, None)
-                heapq.heappush(inflight, finish)
-                source.on_complete(request, finish)
-
-        def fail_request(request: InferenceRequest, seconds: float) -> None:
-            pending_estimates.pop(request.request_id, None)
-            source.on_shed(request, seconds)
-
-        env = (
-            self._fault_hooks(
-                state, lambda: active_count, commit_online, fail_request
-            )
-            if ctx is not None or planner is not None
-            else None
-        )
-        if planner is not None:
-
-            def on_planned(batch: RequestBatch) -> None:
-                # Admitted estimates clear at plan time, not commit time:
-                # the planned work is already priced into the busy horizon
-                # the admission backlog reads.
-                for request in batch.requests:
-                    pending_estimates.pop(request.request_id, None)
-
-            planner.on_planned = on_planned
-
-        def enqueue(request: InferenceRequest, now: float) -> None:
-            nonlocal guaranteed_open
-            if guaranteed_tenants and request.tenant in guaranteed_tenants:
-                guaranteed_open += 1
-            if fair:
-                for batch in batcher.add(request, now):
-                    dispatch_batch(batch)
-                return
-            key = request.workload.batch_key
-            if key not in open_members:
-                open_members[key] = []
-                open_deadline[key] = now + self.scheduler.max_wait_seconds
-            open_members[key].append(request)
-            if len(open_members[key]) >= self.scheduler.max_batch_size:
-                close_batch(key, now)
-
-        while True:
-            t_arrival = source.peek_time()
-            if fair:
-                expiring = batcher.peek_deadline()
-                t_deadline = expiring[0] if expiring is not None else None
-            else:
-                deadline_key = None
-                if open_deadline:
-                    # Ties between expiring batches fire in (deadline, first
-                    # request id) order, matching the offline scheduler's
-                    # dispatch order.
-                    deadline_key = min(
-                        open_deadline,
-                        key=lambda k: (open_deadline[k], open_members[k][0].request_id),
-                    )
-                t_deadline = (
-                    open_deadline[deadline_key] if deadline_key is not None else None
-                )
-            t_fault = ctx.next_fault_time() if ctx is not None else None
-            t_retry = ctx.next_retry_time() if ctx is not None else None
-            t_commit = planner.next_commit_time() if planner is not None else None
-            # Event precedence at timestamp ties: commit < fault < deadline <
-            # retry < arrival (shared with the fast engine through ``due``).
-            # Commits fire first so work whose service has begun is in
-            # flight — and immovable — before any same-instant scale
-            # decision or fault consults the plan.
-            if due(t_commit, t_fault, t_deadline, t_retry, t_arrival):
-                planner.commit_next(env)
-                continue
-            if due(t_fault, t_deadline, t_retry, t_arrival):
-                ctx.advance(env, t_fault)
-                continue
-            if due(t_deadline, t_retry, t_arrival):
-                if fair:
-                    for batch in batcher.fire_deadline(expiring):
-                        dispatch_batch(batch)
-                else:
-                    close_batch(deadline_key, open_deadline[deadline_key])
-                continue
-            if due(t_retry, t_arrival):
-                retry_request, retry_now = ctx.pop_retry()
-                enqueue(retry_request, retry_now)
-                continue
-            if t_arrival is None:
-                break
-            request = source.pop()
-            now = request.arrival_seconds
-            key = request.workload.batch_key
-            if first_arrival is None:
-                first_arrival = now
-            while inflight and inflight[0] <= now:
-                heapq.heappop(inflight)
-            if autoscaler is not None:
-                while recent_sheds and recent_sheds[0] < now - autoscaler.shed_memory_seconds:
-                    recent_sheds.popleft()
-                open_count = (
-                    batcher.pending_count
-                    if fair
-                    else sum(len(members) for members in open_members.values())
-                )
-                queue_depth = (
-                    1  # the arriving request itself
-                    + len(inflight)
-                    + open_count
-                    + len(recent_sheds)
-                )
-                if ctx is not None:
-                    # Work the fault layer is holding (retries, parked
-                    # batches) is still demand the autoscaler must see.
-                    queue_depth += ctx.backlog_count()
-                if planner is not None:
-                    # Planned-but-uncommitted dispatches are queued work
-                    # too; commit-at-dispatch counted them via inflight.
-                    queue_depth += planner.planned
-                previous = active_count
-                if guaranteed_tenants is not None:
-                    guaranteed_depth = guaranteed_open + (
-                        1 if request.tenant in guaranteed_tenants else 0
-                    )
-                    active_count = autoscaler.observe(
-                        now, queue_depth, guaranteed_depth=guaranteed_depth
-                    )
-                else:
-                    active_count = autoscaler.observe(now, queue_depth)
-                joining = (
-                    order[previous:active_count]
-                    if order is not None
-                    else range(previous, active_count)
-                )
-                for shard_id in joining:
-                    warmup = autoscaler.warmup_seconds
-                    if warmup is None:
-                        warmup = self.shards[shard_id].warmup_seconds
-                    state.busy_until[shard_id] = max(
-                        state.busy_until[shard_id], now + warmup
-                    )
-                    leases.open(shard_id, now)
-                if ctx is not None and active_count > previous:
-                    ctx.flush(env)
-                if active_count < previous:
-                    if planner is not None:
-                        if ctx is not None:
-                            # Leaving = dispatchable before minus dispatchable
-                            # after, so standby substitution under faults is
-                            # honoured (a dead prefix shard drains nothing).
-                            surviving = set(ctx.active_alive(active_count))
-                            leaving = [
-                                shard_id
-                                for shard_id in ctx.active_alive(previous)
-                                if shard_id not in surviving
-                            ]
-                        else:
-                            leaving = (
-                                list(order[active_count:previous])
-                                if order is not None
-                                else list(range(active_count, previous))
-                            )
-                        drained, completed = planner.drain(leaving, now, env)
-                        migrated = 0
-                        for stranded in drained:
-                            migrated += len(stranded.requests)
-                            rebatch = RequestBatch(
-                                requests=stranded.requests, ready_seconds=now
-                            )
-                            if ctx is not None:
-                                ctx.dispatch(rebatch, env)
-                            else:
-                                planner.dispatch(rebatch, env)
-                        autoscaler.record_drain(migrated, completed)
-                    # Leases close after the drain so a drained shard is
-                    # billed to its lowered (post-migration) horizon.
-                    departing = (
-                        order[active_count:previous]
-                        if order is not None
-                        else range(active_count, previous)
-                    )
-                    for shard_id in departing:
-                        leases.close(
-                            shard_id, max(now, state.busy_until[shard_id])
-                        )
-            if admission is not None:
-                # Backlog of the least-loaded active shard plus the admitted
-                # but undispatched work, spread across the active shards —
-                # the queue depth times the calibrated per-batch cost.
-                if ctx is not None:
-                    # Only live shards can absorb work; with none, the
-                    # prediction is unbounded and only guaranteed-tier
-                    # traffic gets through (to queue until recovery).
-                    alive = ctx.active_alive(active_count)
-                    if alive:
-                        backlog = min(
-                            max(state.busy_until[i] - now, 0.0) for i in alive
-                        ) + sum(pending_estimates.values()) / len(alive)
-                    else:
-                        backlog = float("inf")
-                else:
-                    backlog = min(
-                        max(state.busy_until[i] - now, 0.0) for i in active_ids()
-                    ) + sum(pending_estimates.values()) / active_count
-                if fair:
-                    # A request the fair batcher would spill pays a full
-                    # standalone pass, not the marginal increment of a
-                    # batch it will not join.
-                    joinable = (
-                        batcher.open_members(key)
-                        if batcher.can_join(key, request.tenant)
-                        else None
-                    )
-                else:
-                    joinable = open_members.get(key)
-                estimate = _admission_estimate(
-                    self.template, request, admission, joinable
-                )
-                # Degraded-quality tier: price the request's cheaper profile
-                # against *its own* open batch (degraded requests batch under
-                # their own key) so the controller can admit it degraded when
-                # the full-quality prediction violates the SLO.
-                degraded_workload = admission.degraded_profile(
-                    request.workload, request.tenant
-                )
-                degraded_estimate = None
-                degraded_request = None
-                if degraded_workload is not None:
-                    degraded_key = degraded_workload.batch_key
-                    if fair:
-                        degraded_joinable = (
-                            batcher.open_members(degraded_key)
-                            if batcher.can_join(degraded_key, request.tenant)
-                            else None
-                        )
-                    else:
-                        degraded_joinable = open_members.get(degraded_key)
-                    degraded_request = replace(request, workload=degraded_workload)
-                    degraded_estimate = _admission_estimate(
-                        self.template, degraded_request, admission, degraded_joinable
-                    )
-                decision = admission.decide(
-                    request, now, backlog, estimate, degraded_estimate
-                )
-                if admission.record_decisions:
-                    decisions.append(decision)
-                if decision.admitted:
-                    if decision.degraded:
-                        request = degraded_request
-                        estimate = degraded_estimate
-                    pending_estimates[request.request_id] = estimate
-                if not decision.admitted:
-                    shed_records.append(
-                        ShedRecord(
-                            request=request,
-                            shed_seconds=now,
-                            predicted_sojourn=decision.predicted_sojourn,
-                            slo_seconds=decision.slo_seconds,
-                        )
-                    )
-                    recent_sheds.append(now)
-                    source.on_shed(request, now)
-                    continue
-            enqueue(request, now)
-
-        fault_stats = (
-            ctx.finalize(first_arrival, state.last_finish) if ctx is not None else None
-        )
-        shard_seconds = leases.finish(state.last_finish) if leases is not None else None
-        makespan = 0.0
-        if state.served and first_arrival is not None:
-            makespan = state.last_finish - first_arrival
-        return ClusterReport(
-            system=self.system_name,
-            policy=self.policy,
-            num_shards=self.num_shards,
-            served=state.served,
-            num_batches=state.num_batches,
-            makespan_seconds=makespan,
-            shard_busy_seconds=state.busy_total,
-            shard_requests=state.shard_requests,
-            shed=shed_records,
-            slo=slo,
-            decisions=decisions,
-            scaling_timeline=list(autoscaler.timeline()) if autoscaler is not None else [],
-            faults=fault_stats,
-            shard_seconds=shard_seconds,
-        )
 
     def serve_workloads(self, workloads: List[WorkloadProfile]) -> ClusterReport:
         """Serve a plain workload list as a zero-gap trace (back-to-back)."""

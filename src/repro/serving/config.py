@@ -1,12 +1,12 @@
-"""Unified serving configuration: one validated object instead of six kwargs.
+"""Unified serving configuration: one validated object per serving run.
 
-Six PRs of growth left :meth:`ShardedServiceCluster.serve_trace` /
-:meth:`~repro.serving.cluster.ShardedServiceCluster.serve_online` with a
-sprawling keyword surface spread over three layers — the cluster
-constructor (``engine``), the scheduler (``tenant_weights``), the admission
-controller (``batch_aware``, ``record_decisions``) and the fault schedule
+A run's options span several layers — the cluster constructor
+(``engine``), the scheduler (``tenant_weights``), the admission controller
+(``batch_aware``, ``record_decisions``) and the fault schedule
 (``fault_aware``).  :class:`ServingConfig` consolidates all of it behind
-``serve_trace(trace, config=...)`` / ``serve_online(source, config=...)``:
+``serve_trace(trace, config=...)`` / ``serve_online(source, config=...)``
+on :class:`~repro.serving.cluster.ShardedServiceCluster`, the only way to
+pass run options:
 
 * **engine / tenant_weights** override the cluster's construction-time
   choices for one run (swapped in and restored afterwards);
@@ -25,10 +25,6 @@ controller (``batch_aware``, ``record_decisions``) and the fault schedule
 * **autoscaler** attaches elastic scaling (online loop only); with its
   ``drain=True`` default a scale-down drains-and-migrates queued work to
   the surviving shards instead of stranding it.
-
-The legacy keyword arguments still work through a shim that emits
-``DeprecationWarning`` and maps them onto a config — byte-identical reports
-by construction, regression-tested in ``tests/test_serving_config.py``.
 """
 
 from __future__ import annotations
@@ -58,7 +54,7 @@ class ServingConfig:
         engine: serving engine override for this run (``"reference"`` /
             ``"fast"``); ``None`` keeps the cluster's own engine.
         slo: latency objectives the run is scored against.  On its own it
-            never sheds (score-only, like the legacy ``slo=`` kwarg).
+            never sheds (score-only).
         controller: a pre-built admission controller.  Mutually exclusive
             with the admission knobs below — a supplied controller already
             carries its own ``record_decisions`` / ``batch_aware`` /

@@ -26,10 +26,10 @@ cluster's online event loop (:meth:`~repro.serving.cluster.ShardedServiceCluster
 
 Everything here is pure simulated-time bookkeeping: no wall clock, no
 randomness, so controlled runs are exactly reproducible.  The policies are
-engine-agnostic: both the reference event loop and the fast engine
-(:mod:`repro.serving.engine`) drive the same controller objects with the
-same observation sequences, which is what keeps controlled runs
-byte-identical across engines.  For 100k-request runs the per-decision log
+engine-agnostic: the one online loop (:mod:`repro.serving.engine`) drives
+the same controller objects with the same observation sequences under
+either engine, which is what keeps controlled runs byte-identical across
+engines.  For 100k-request runs the per-decision log
 can be disabled (``AdmissionController(record_decisions=False)``) — the
 verdicts themselves are unaffected.
 """

@@ -1,38 +1,46 @@
-"""The fast serving engine: indexed event heaps + serve-transition caching.
+"""Serving engines: one event loop per serving mode over two shard lanes.
 
-This module is the ``engine="fast"`` implementation behind
-:class:`~repro.serving.cluster.ShardedServiceCluster`.  It reproduces the
-reference event loops' output *byte-identically* (golden- and property-test
-enforced) while replacing their per-event linear work with indexed
-structures and memoization:
+:class:`~repro.serving.cluster.ShardedServiceCluster` serves traffic through
+the loops in this module, each written once for both engines:
 
-* **Serve-transition cache** — a batch's :class:`ServiceReport` is a pure
-  function of ``(preprocessing state, merged workload)``; the engine caches
-  the ``(state, workload) -> (report, duration, next state)`` transition and
-  replays it on any shard in the same starting state
-  (``PreprocessingSystem.state_key`` / ``snapshot_state`` / ``apply_state``).
-  For DynPre this eliminates the per-batch bitstream-library sweep; for
-  stateless systems it eliminates the analytic model evaluation outright.
-* **Indexed shard heap** — least-loaded dispatch and admission backlog reads
-  pop a ``(busy_until, shard_id)`` priority structure with lazy staleness
-  instead of scanning every shard per batch.
-* **Array-level batch formation** — offline traces are chunked per
-  compatibility key on the trace's structure-of-arrays view
-  (``BatchScheduler.schedule_fast``), one ``searchsorted`` per batch.
-* **Deadline heap** — the online loop's next-expiring-batch query is a heap
-  top instead of a scan over all open batches, and the autoscaler's queue
-  depth is a running counter.
-* **Streaming aggregates** — sojourns fold into
-  :class:`~repro.analysis.metrics.StreamingLatencyStats` and running
-  decomposition sums as requests are served (same accumulation order as the
-  reference report properties, hence bit-identical), so a report can
-  :meth:`~repro.serving.cluster.ClusterReport.compact` away its per-request
-  records at 100k-request scale.
+* :func:`serve_trace` — offline replay: the scheduler plans the batches up
+  front and they dispatch in the order they close, with fault events and
+  retries settled in between by the shared
+  :class:`~repro.serving.faults.FaultRuntime`.
+* :func:`serve_online` — online co-simulation: drain commits, fault events,
+  batch deadlines, retries and arrivals interleave in simulated-time order
+  (in that precedence at ties), and the control plane — autoscaling and
+  admission — hooks into every arrival.
 
-Float discipline: every arithmetic expression that lands in a report is kept
-textually identical to the reference loop's (same operand order, same
-reductions over the same iteration order), because the golden-report suite
-asserts byte equality of the rendered JSON.
+A *shard lane* owns the three things the engines differ in, plus the
+per-run shard state both keep (busy horizons, utilisation, served records):
+
+* **dispatch index** — :class:`PlainLane` (``engine="reference"``) scans
+  the busy list with ``ShardedServiceCluster._pick_shard``;
+  :class:`IndexedLane` (``engine="fast"``, the default) pops a
+  :class:`ShardHeap` with lazy staleness.
+* **pricing** — the plain lane calls ``GNNService.serve`` for every batch;
+  the indexed lane replays cached serve transitions (a batch's report is a
+  pure function of the shard's preprocessing state and the merged workload,
+  see :func:`_cached_serve`) and memoizes merged workloads.
+* **accounting** — both keep the ``ServedRequest`` list; the indexed lane
+  also folds every served request into streaming aggregates
+  (:class:`_RunAccumulator`), so its reports can
+  :meth:`~repro.serving.cluster.ClusterReport.compact` away the records.
+
+The lane also implements :class:`~repro.serving.faults.FaultLoopHooks`,
+the interface the fault runtime and the drain planner use.  The plain lane
+is the oracle the indexed lane is tested against: the golden and
+equivalence suites assert byte-identical ``ClusterReport.as_dict()``
+output.  That holds because the heap pick returns what the linear scan
+would, a cached transition replays exactly the report and end state a
+fresh pass produces, and every float that lands in a report goes through
+the same expression in the same order (the golden suite compares rendered
+JSON bytes).
+
+The fast engine's offline replay runs array-native when it can
+(:func:`_serve_trace_chunked`): no fault schedule and no fair-mode
+batching, so the whole batch plan is known up front.
 """
 
 from __future__ import annotations
@@ -40,19 +48,35 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import replace
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.analysis.metrics import StreamingLatencyStats
-from repro.serving.faults import DrainPlanner, FaultLoopHooks, FaultSchedule, due
-from repro.serving.requests import InferenceRequest
+from repro.analysis.metrics import LatencyStats, StreamingLatencyStats, TenantStats
+from repro.serving.cluster import (
+    ENGINE_FAST,
+    POLICY_LEAST_LOADED,
+    POLICY_LOCALITY,
+    POLICY_ROUND_ROBIN,
+    ClusterReport,
+    ReportAggregates,
+    ServedRequest,
+    ShedRecord,
+    _home_shard,
+)
+from repro.serving.faults import DrainPlanner, FaultSchedule, due
+from repro.serving.requests import InferenceRequest, RequestTrace
 from repro.serving.scheduler import RequestBatch
 from repro.system.workload import QUALITY_DEGRADED, WorkloadProfile
 
 if TYPE_CHECKING:
     from repro.serving.cluster import ShardedServiceCluster
-    from repro.serving.control import AdmissionController, Autoscaler, SLOPolicy
+    from repro.serving.control import (
+        AdmissionController,
+        AdmissionDecision,
+        Autoscaler,
+        SLOPolicy,
+    )
     from repro.system.service import GNNService, ServiceReport
 
 
@@ -67,7 +91,7 @@ class ShardHeap:
     drain lowers a leaving shard's horizon back to its in-flight floor,
     which simply revalidates (or duplicates) an earlier entry — every
     shard always has one entry matching its current value, so :meth:`pick`
-    stays correct.  :meth:`pick` returns the shard the reference loop's
+    stays correct.  :meth:`pick` returns the shard the plain lane's scan
     ``min(active, key=lambda i: (busy_until[i], i))`` would return: the heap
     order ``(busy, shard_id)`` is exactly that tie-break.
 
@@ -111,9 +135,9 @@ class ShardHeap:
 
 
 class _RunAccumulator:
-    """Streaming per-request aggregates of one engine run.
+    """Streaming per-request aggregates of one indexed-lane run.
 
-    Accumulation order matches the reference report properties exactly
+    Accumulation order matches the report properties' re-derivation exactly
     (served order, left-fold sums) — per tenant too — which is what makes
     the resulting :class:`~repro.serving.cluster.ReportAggregates`
     bit-identical to re-deriving the values from the per-request records.
@@ -137,9 +161,7 @@ class _RunAccumulator:
     )
 
     def __init__(self, slo: Optional["SLOPolicy"]) -> None:
-        # Exact report-time stats only: skip the per-push P² marker updates
-        # (live approximate percentiles) in the per-request hot path.
-        self.latency = StreamingLatencyStats(track_approx=False)
+        self.latency = StreamingLatencyStats()
         self.batching_sum = 0.0
         self.dispatch_sum = 0.0
         self.service_sum = 0.0
@@ -170,7 +192,7 @@ class _RunAccumulator:
         degraded = request.workload.quality == QUALITY_DEGRADED
         per_tenant = self.tenant_latency.get(tenant)
         if per_tenant is None:
-            per_tenant = StreamingLatencyStats(track_approx=False)
+            per_tenant = StreamingLatencyStats()
             self.tenant_latency[tenant] = per_tenant
         per_tenant.push(sojourn)
         self.tenant_served[tenant] = self.tenant_served.get(tenant, 0) + 1
@@ -193,10 +215,6 @@ class _RunAccumulator:
         self.tenant_shed[tenant] = self.tenant_shed.get(tenant, 0) + 1
 
     def aggregates(self, count: int, shed_count: int):
-        from repro.serving.cluster import ReportAggregates
-
-        from repro.analysis.metrics import LatencyStats, TenantStats
-
         tenants = {}
         for tenant in sorted(set(self.tenant_served) | set(self.tenant_shed)):
             served = self.tenant_served.get(tenant, 0)
@@ -258,7 +276,7 @@ def _merged_workload(
     """The batch's merged workload, memoized on (base profile, summed size).
 
     The merge itself is delegated to ``RequestBatch.workload`` — the same
-    property the reference loop evaluates — so the two engines cannot drift
+    property the plain lane evaluates — so the two engines cannot drift
     if the merge formula ever changes; this wrapper only avoids re-running
     it for every batch of an identical composition.
     """
@@ -280,17 +298,11 @@ def _pick_shard(
     active_count: int,
 ) -> int:
     """Replicates ``ShardedServiceCluster._pick_shard`` on the shard heap."""
-    from repro.serving.cluster import (
-        POLICY_LOCALITY,
-        POLICY_ROUND_ROBIN,
-        _home_shard,
-    )
-
     if cluster._order is not None:
         # Domain-aware placement: the active set is an activation-order
         # slice, not the index prefix the heap shortcuts assume.  Delegate
-        # to the reference picker over the heap's authoritative busy list —
-        # the same call the fault path makes — so both engines pick
+        # to the cluster's picker over the heap's authoritative busy list —
+        # the same call the fault path makes — so both lanes pick
         # identically under any topology.
         return cluster._pick_shard(batch, heap.busy, cluster._order[:active_count])
     if cluster.policy == POLICY_ROUND_ROBIN:
@@ -325,10 +337,280 @@ def _pick_shard(
     return heap.pick(active_count)
 
 
+def _admission_estimate(
+    template: "GNNService",
+    request: InferenceRequest,
+    admission: "AdmissionController",
+    open_members: Optional[List[InferenceRequest]],
+) -> float:
+    """Service-time estimate the admission prediction charges ``request``.
+
+    The conservative default prices the request as a standalone pass.  With
+    ``admission.batch_aware`` and a compatible batch already forming, the
+    request is priced at its *marginal* merged-batch cost — the merged
+    pass with the request minus the pass already committed to — which is
+    what the batch will actually add to the shard's busy horizon (batched
+    preprocessing amortizes the fixed per-pass work).
+    """
+    estimate = template.estimate_service_seconds(request.workload)
+    if admission.batch_aware and open_members:
+        base = open_members[0].workload
+        merged = sum(member.workload.batch_size for member in open_members)
+        forming = template.estimate_service_seconds(base.with_batch_size(merged))
+        joined = template.estimate_service_seconds(
+            base.with_batch_size(merged + request.workload.batch_size)
+        )
+        estimate = min(estimate, max(joined - forming, 0.0))
+    return estimate
+
+
+class ShardLeaseTracker:
+    """Provisioned shard-seconds accounting for autoscaled online runs.
+
+    A shard's lease opens when it (re)enters the autoscaler's active
+    prefix and closes at a scale-down — at ``max(now, busy_until)``, when
+    the shard actually goes idle after finishing what it still holds.
+    With drain enabled the busy horizon has already dropped back to the
+    in-flight floor by then, which is exactly how voluntary drains save
+    shard-seconds: the leaving shard is not paid for backlog that migrated
+    away.  Leases still open when the run ends close at the run's last
+    finish.  Leases never overlap: a reactivation opens no earlier than
+    the shard's previous close, so a backlog paid through a scale-down is
+    not paid again after a scale-up.
+    """
+
+    def __init__(self, num_shards: int) -> None:
+        self._opened: List[Optional[float]] = [None] * num_shards
+        self._closed_at = [0.0] * num_shards
+        self.total = 0.0
+
+    def open(self, shard_id: int, now: float) -> None:
+        """Start the shard's lease at ``now`` (no-op when already open)."""
+        if self._opened[shard_id] is None:
+            self._opened[shard_id] = max(now, self._closed_at[shard_id])
+
+    def close(self, shard_id: int, seconds: float) -> None:
+        """End the shard's lease at ``seconds`` (clamped to its open)."""
+        opened = self._opened[shard_id]
+        if opened is None:
+            return
+        end = max(seconds, opened)
+        self.total += end - opened
+        self._closed_at[shard_id] = end
+        self._opened[shard_id] = None
+
+    def finish(self, end: float) -> float:
+        """Close every open lease at the run's end; returns the total."""
+        for shard_id, opened in enumerate(self._opened):
+            if opened is not None:
+                self.total += max(end, opened) - opened
+                self._opened[shard_id] = None
+        return self.total
+
+
+class PlainLane:
+    """The reference engine's shard lane: a plain busy list, direct pricing.
+
+    One lane holds one run's shard state.  The loops drive it through
+    :meth:`dispatch` (commit-at-dispatch), :meth:`least_backlog`,
+    :meth:`record_shed` and :meth:`report`; the fault runtime and the drain
+    planner drive it through the
+    :class:`~repro.serving.faults.FaultLoopHooks` methods.  The online loop
+    sets :attr:`notify_complete` / :attr:`notify_failed` to feed finish
+    times and losses back to its arrival source.
+    """
+
+    def __init__(self, cluster: "ShardedServiceCluster", slo: Optional["SLOPolicy"]) -> None:
+        cluster._reset_dispatch_state()
+        num_shards = cluster.num_shards
+        self.cluster = cluster
+        self.slo = slo
+        self.active_count = num_shards
+        self.busy_until = [0.0] * num_shards
+        self.busy_total = [0.0] * num_shards
+        self.shard_requests = [0] * num_shards
+        self.served: List[ServedRequest] = []
+        self.shed: List[ShedRecord] = []
+        self.num_batches = 0
+        self.last_finish = 0.0
+        #: Streaming aggregates (indexed lane only).
+        self.accumulator: Optional[_RunAccumulator] = None
+        self.notify_complete: Optional[Callable[[RequestBatch, float], None]] = None
+        self.notify_failed: Optional[Callable[[InferenceRequest, float], None]] = None
+
+    def schedule(self, trace: RequestTrace) -> List[RequestBatch]:
+        """The offline batch plan."""
+        return self.cluster.scheduler.schedule(trace)
+
+    # ----------------------------------------------------- FaultLoopHooks
+    def active_ids(self) -> Sequence[int]:
+        order = self.cluster._order
+        if order is not None:
+            return order[: self.active_count]
+        return range(self.active_count)
+
+    def busy(self, shard_id: int) -> float:
+        return self.busy_until[shard_id]
+
+    def set_busy(self, shard_id: int, seconds: float) -> None:
+        self.busy_until[shard_id] = seconds
+
+    def add_busy(self, shard_id: int, seconds: float) -> None:
+        self.busy_total[shard_id] += seconds
+
+    def merged(self, batch: RequestBatch) -> WorkloadProfile:
+        return batch.workload
+
+    def pick(self, batch: RequestBatch, workload: WorkloadProfile, active: Sequence[int]) -> int:
+        return self.cluster._pick_shard(batch, self.busy_until, active)
+
+    def serve(self, shard_id: int, workload: WorkloadProfile) -> Tuple["ServiceReport", float]:
+        report = self.cluster.shards[shard_id].serve(workload)
+        return report, report.total_seconds
+
+    def commit(
+        self,
+        batch: RequestBatch,
+        shard_id: int,
+        start: float,
+        duration: float,
+        report: "ServiceReport",
+        finish: float,
+    ) -> None:
+        members = batch.requests
+        ready = batch.ready_seconds
+        self.shard_requests[shard_id] += len(members)
+        self.num_batches += 1
+        self.last_finish = max(self.last_finish, finish)
+        batch_size = len(members)
+        dispatch_delay = start - ready
+        served = self.served
+        accumulator = self.accumulator
+        for request in members:
+            batching_delay = ready - request.arrival_seconds
+            served.append(
+                ServedRequest(
+                    request=request,
+                    shard_id=shard_id,
+                    batch_size=batch_size,
+                    batching_delay=batching_delay,
+                    dispatch_delay=dispatch_delay,
+                    service_seconds=duration,
+                    report=report,
+                )
+            )
+            if accumulator is not None:
+                accumulator.push(request, batching_delay, dispatch_delay, duration)
+        if self.notify_complete is not None:
+            self.notify_complete(batch, finish)
+
+    def on_failed(self, request: InferenceRequest, seconds: float) -> None:
+        if self.notify_failed is not None:
+            self.notify_failed(request, seconds)
+
+    # ------------------------------------------------------- loop surface
+    def pick_active(self, batch: RequestBatch, workload: WorkloadProfile) -> int:
+        """Dispatch-policy choice among the active shards."""
+        return self.pick(batch, workload, self.active_ids())
+
+    def dispatch(self, batch: RequestBatch) -> None:
+        """Fault-free commit-at-dispatch: pick, price, commit."""
+        workload = self.merged(batch)
+        shard_id = self.pick_active(batch, workload)
+        start = max(batch.ready_seconds, self.busy_until[shard_id])
+        report, duration = self.serve(shard_id, workload)
+        finish = start + duration
+        self.set_busy(shard_id, finish)
+        self.add_busy(shard_id, duration)
+        self.commit(batch, shard_id, start, duration, report, finish)
+
+    def least_backlog(self, now: float, shards: Optional[Sequence[int]] = None) -> float:
+        """Smallest remaining backlog among ``shards`` (default: the active set)."""
+        if shards is None:
+            shards = self.active_ids()
+        return min(max(self.busy_until[i] - now, 0.0) for i in shards)
+
+    def record_shed(
+        self, request: InferenceRequest, now: float, decision: "AdmissionDecision"
+    ) -> None:
+        self.shed.append(
+            ShedRecord(
+                request=request,
+                shed_seconds=now,
+                predicted_sojourn=decision.predicted_sojourn,
+                slo_seconds=decision.slo_seconds,
+            )
+        )
+        if self.accumulator is not None:
+            self.accumulator.push_shed(request)
+
+    def report(self, makespan: float, **sections) -> ClusterReport:
+        """The run's :class:`ClusterReport`; ``sections`` are the loop's own
+        fields (faults, decisions, scaling timeline, shard-seconds)."""
+        aggregates = None
+        if self.accumulator is not None:
+            aggregates = self.accumulator.aggregates(
+                count=len(self.served), shed_count=len(self.shed)
+            )
+        return ClusterReport(
+            system=self.cluster.system_name,
+            policy=self.cluster.policy,
+            num_shards=self.cluster.num_shards,
+            served=self.served,
+            num_batches=self.num_batches,
+            makespan_seconds=makespan,
+            shard_busy_seconds=self.busy_total,
+            shard_requests=self.shard_requests,
+            shed=self.shed,
+            slo=self.slo,
+            aggregates=aggregates,
+            **sections,
+        )
+
+
+class IndexedLane(PlainLane):
+    """The fast engine's shard lane: shard heap, cached pricing, streaming
+    aggregates.
+
+    ``busy_until`` is the heap's authoritative horizon list, so the hooks
+    the lane inherits (``busy``, ``pick``, ``least_backlog`` over explicit
+    shards) read the same values the plain lane would hold.
+    """
+
+    def __init__(self, cluster: "ShardedServiceCluster", slo: Optional["SLOPolicy"]) -> None:
+        super().__init__(cluster, slo)
+        self.heap = ShardHeap(cluster.num_shards)
+        self.busy_until = self.heap.busy
+        self.accumulator = _RunAccumulator(slo)
+        self._merged_cache: Dict[tuple, WorkloadProfile] = {}
+
+    def schedule(self, trace: RequestTrace) -> List[RequestBatch]:
+        return self.cluster.scheduler.schedule_fast(trace)
+
+    def set_busy(self, shard_id: int, seconds: float) -> None:
+        self.heap.update(shard_id, seconds)
+
+    def merged(self, batch: RequestBatch) -> WorkloadProfile:
+        return _merged_workload(batch, self._merged_cache)
+
+    def serve(self, shard_id: int, workload: WorkloadProfile) -> Tuple["ServiceReport", float]:
+        return _cached_serve(self.cluster, self.cluster.shards[shard_id], workload)
+
+    def pick_active(self, batch: RequestBatch, workload: WorkloadProfile) -> int:
+        return _pick_shard(self.cluster, self.heap, batch, workload, self.active_count)
+
+    def least_backlog(self, now: float, shards: Optional[Sequence[int]] = None) -> float:
+        if shards is not None or self.cluster._order is not None:
+            # Not the index prefix the heap covers: the plain reduction
+            # (value-identical to the heap's minimum either way).
+            return super().least_backlog(now, shards)
+        return max(self.heap.min_busy(self.active_count) - now, 0.0)
+
+
 class _BatchView:
     """Mutable stand-in for :class:`RequestBatch` in the chunked dispatch loop.
 
-    ``_pick_shard`` (both the heap shortcut and the delegated reference
+    ``_pick_shard`` (both the heap shortcut and the delegated cluster
     picker) reads only ``key``, ``ready_seconds`` and ``workload`` — never
     the member list — so the chunked loop reuses one view object per run
     instead of materializing a ``RequestBatch`` per batch."""
@@ -370,8 +652,6 @@ class _ChunkedServedLog:
 
     def _materialize(self) -> list:
         if self._records is None:
-            from repro.serving.cluster import ServedRequest
-
             requests = self._trace.requests
             plan = self._plan
             positions = plan.member_positions.tolist()
@@ -477,8 +757,6 @@ def _serve_trace_chunked(
     cannot precompute), otherwise ``serve_trace_fast`` degrades to the
     per-event loop.
     """
-    from repro.serving.cluster import POLICY_LEAST_LOADED, ClusterReport
-
     cluster._reset_dispatch_state()
     arrays = trace.arrays()
     plan = cluster.scheduler.schedule_arrays(trace)
@@ -594,7 +872,7 @@ def _serve_trace_chunked(
             # A pool entry no surviving request references (merge dedupe
             # keeps it) — the reference accumulator never sees the tenant.
             continue
-        stats = StreamingLatencyStats(track_approx=False)
+        stats = StreamingLatencyStats()
         # Boolean masking preserves served order, so the per-tenant fold
         # carries the same rounding trail as the reference per-tenant push.
         stats.extend(sojourn[mask])
@@ -626,13 +904,25 @@ def _serve_trace_chunked(
 
 
 # --------------------------------------------------------------------- offline
+def serve_trace(
+    cluster: "ShardedServiceCluster",
+    trace: RequestTrace,
+    slo: Optional["SLOPolicy"],
+    faults: Optional[FaultSchedule],
+) -> ClusterReport:
+    """Offline replay on the cluster's engine (``serve_trace``'s loop)."""
+    if cluster.engine == ENGINE_FAST:
+        return serve_trace_fast(cluster, trace, slo, faults)
+    return _replay(PlainLane(cluster, slo), trace, faults)
+
+
 def serve_trace_fast(
     cluster: "ShardedServiceCluster",
-    trace,
+    trace: RequestTrace,
     slo: Optional["SLOPolicy"] = None,
     faults: Optional[FaultSchedule] = None,
     chunked: Optional[bool] = None,
-):
+) -> ClusterReport:
     """Fast offline replay — the ``engine="fast"`` path of ``serve_trace``.
 
     ``chunked`` selects the array-native loop (:func:`_serve_trace_chunked`)
@@ -642,8 +932,6 @@ def serve_trace_fast(
     otherwise.  Both paths produce byte-identical reports; ``chunked=False``
     forces the per-event loop (the equivalence suite and the speed benchmark
     compare the two)."""
-    from repro.serving.cluster import ClusterReport, ServedRequest
-
     if chunked is None:
         chunked = faults is None and not cluster.scheduler.fair and len(trace) > 0
     if chunked:
@@ -652,185 +940,69 @@ def serve_trace_fast(
         if cluster.scheduler.fair:
             raise ValueError("chunked replay does not support fair-mode batching")
         return _serve_trace_chunked(cluster, trace, slo)
+    return _replay(IndexedLane(cluster, slo), trace, faults)
 
-    cluster._reset_dispatch_state()
-    batches = cluster.scheduler.schedule_fast(trace)
-    num_shards = cluster.num_shards
-    heap = ShardHeap(num_shards)
-    busy_total = [0.0] * num_shards
-    shard_requests = [0] * num_shards
-    served: List[ServedRequest] = []
-    accumulator = _RunAccumulator(slo)
-    merged_cache: Dict[tuple, WorkloadProfile] = {}
-    last_finish = 0.0
+
+def _replay(
+    lane: PlainLane, trace: RequestTrace, faults: Optional[FaultSchedule]
+) -> ClusterReport:
+    """The per-event offline loop over either lane."""
+    cluster = lane.cluster
+    batches = lane.schedule(trace)
+    first_arrival = trace[0].arrival_seconds
     fault_stats = None
-    num_batches = len(batches)
-
     if faults is None:
         for batch in batches:
-            members = batch.requests
-            workload = _merged_workload(batch, merged_cache)
-            ready = batch.ready_seconds
-            shard_id = _pick_shard(cluster, heap, batch, workload, num_shards)
-            start = max(ready, heap.busy[shard_id])
-            report, duration = _cached_serve(cluster, cluster.shards[shard_id], workload)
-            finish = start + duration
-            heap.update(shard_id, finish)
-            busy_total[shard_id] += duration
-            shard_requests[shard_id] += len(members)
-            last_finish = max(last_finish, finish)
-            batch_size = len(members)
-            dispatch_delay = start - ready
-            for request in members:
-                batching_delay = ready - request.arrival_seconds
-                served.append(
-                    ServedRequest(
-                        request=request,
-                        shard_id=shard_id,
-                        batch_size=batch_size,
-                        batching_delay=batching_delay,
-                        dispatch_delay=dispatch_delay,
-                        service_seconds=duration,
-                        report=report,
-                    )
-                )
-                accumulator.push(request, batching_delay, dispatch_delay, duration)
+            lane.dispatch(batch)
     else:
-        # The fault runtime owns every fault decision; these hooks only
-        # expose the loop's state.  Dispatch goes through the *reference*
-        # ``_pick_shard`` over the heap's authoritative busy list so both
-        # engines pick identically under a fluid (non-prefix) active set.
         ctx = faults.runtime(
-            num_shards, slo, order=cluster._order, topology=cluster.topology
-        )
-        num_batches = 0
-
-        def commit(batch, shard_id, start, duration, report, finish):
-            nonlocal last_finish, num_batches
-            members = batch.requests
-            ready = batch.ready_seconds
-            shard_requests[shard_id] += len(members)
-            num_batches += 1
-            last_finish = max(last_finish, finish)
-            batch_size = len(members)
-            dispatch_delay = start - ready
-            for request in members:
-                batching_delay = ready - request.arrival_seconds
-                served.append(
-                    ServedRequest(
-                        request=request,
-                        shard_id=shard_id,
-                        batch_size=batch_size,
-                        batching_delay=batching_delay,
-                        dispatch_delay=dispatch_delay,
-                        service_seconds=duration,
-                        report=report,
-                    )
-                )
-                accumulator.push(request, batching_delay, dispatch_delay, duration)
-
-        def add_busy(shard_id: int, seconds: float) -> None:
-            busy_total[shard_id] += seconds
-
-        order = cluster._order
-        env = FaultLoopHooks(
-            active_count=lambda: num_shards,
-            active_ids=(
-                (lambda: order[:num_shards]) if order is not None else None
-            ),
-            busy=lambda shard_id: heap.busy[shard_id],
-            set_busy=heap.update,
-            add_busy=add_busy,
-            merged=lambda batch: _merged_workload(batch, merged_cache),
-            pick=lambda batch, workload, active: cluster._pick_shard(
-                batch, heap.busy, active
-            ),
-            serve=lambda shard_id, workload: _cached_serve(
-                cluster, cluster.shards[shard_id], workload
-            ),
-            commit=commit,
-            on_failed=lambda request, seconds: None,
+            cluster.num_shards, lane.slo, order=cluster._order, topology=cluster.topology
         )
         for batch in batches:
-            ctx.step(env, batch)
-        ctx.drain(env)
-        fault_stats = ctx.finalize(trace[0].arrival_seconds, last_finish)
-
-    first_arrival = trace[0].arrival_seconds
+            ctx.step(lane, batch)
+        ctx.drain(lane)
+        fault_stats = ctx.finalize(first_arrival, lane.last_finish)
     # A faulted replay can fail every request; an empty run has no span.
-    makespan = last_finish - first_arrival if served else 0.0
-    return ClusterReport(
-        system=cluster.system_name,
-        policy=cluster.policy,
-        num_shards=num_shards,
-        served=served,
-        num_batches=num_batches,
-        makespan_seconds=makespan,
-        shard_busy_seconds=busy_total,
-        shard_requests=shard_requests,
-        slo=slo,
-        aggregates=accumulator.aggregates(count=len(served), shed_count=0),
-        faults=fault_stats,
-    )
+    makespan = lane.last_finish - first_arrival if lane.served else 0.0
+    return lane.report(makespan, faults=fault_stats)
 
 
 # ---------------------------------------------------------------------- online
-def serve_online_fast(
+def serve_online(
     cluster: "ShardedServiceCluster",
     source,
-    slo: Optional["SLOPolicy"] = None,
-    admission: Optional["AdmissionController"] = None,
-    autoscaler: Optional["Autoscaler"] = None,
-    faults: Optional[FaultSchedule] = None,
-):
-    """Fast online co-simulation — the ``engine="fast"`` path of ``serve_online``.
+    slo: Optional["SLOPolicy"],
+    admission: Optional["AdmissionController"],
+    autoscaler: Optional["Autoscaler"],
+    faults: Optional[FaultSchedule],
+) -> ClusterReport:
+    """The online co-simulation loop (``serve_online``'s loop) on the
+    cluster's engine.
 
-    Control flow and every float expression mirror the reference loop; the
-    differences are the deadline heap (next expiring batch is a heap top,
-    with lazy invalidation keyed on the opening request's id), the running
-    open-request counter feeding the autoscaler, the shard heap behind
-    dispatch and admission-backlog reads, and the serve-transition cache.
-    Under a fault schedule, dispatch and the admission backlog instead go
-    through the shared fault runtime and the reference ``_pick_shard`` (the
-    active set is no longer a prefix), exactly as the reference loop does.
+    Batches form through the scheduler's online batcher (FIFO deadline
+    heap or weighted-fair), the autoscaler's queue depth is a running
+    count, and dispatch goes through the fault runtime under a fault
+    schedule, through the drain planner under a draining autoscaler, and
+    straight to the lane otherwise.
     """
-    from repro.serving.cluster import (
-        ClusterReport,
-        ServedRequest,
-        ShardLeaseTracker,
-        ShedRecord,
-        _admission_estimate,
-    )
-
-    cluster._reset_dispatch_state()
+    lane_type = IndexedLane if cluster.engine == ENGINE_FAST else PlainLane
+    lane = lane_type(cluster, slo)
     num_shards = cluster.num_shards
-    heap = ShardHeap(num_shards)
-    busy_total = [0.0] * num_shards
-    shard_requests = [0] * num_shards
-    served: List[ServedRequest] = []
-    accumulator = _RunAccumulator(slo)
-    merged_cache: Dict[tuple, WorkloadProfile] = {}
-    last_finish = 0.0
-    num_batches = 0
-
-    scheduler = cluster.scheduler
-    fair = scheduler.fair
-    batcher = scheduler.fair_batcher() if fair else None
-    open_members: Dict[object, List[InferenceRequest]] = {}
-    open_deadline: Dict[object, float] = {}
-    open_count = 0
-    deadline_heap: List[tuple] = []
+    order = cluster._order
+    batcher = cluster.scheduler.online_batcher()
     inflight: List[float] = []
-    shed_records: List[ShedRecord] = []
-    decisions: List[object] = []
+    decisions: List["AdmissionDecision"] = []
+    # Estimated cost of requests admitted but not yet dispatched, so a
+    # same-instant arrival burst cannot all be admitted against the same
+    # (still-empty) shard backlog.
     pending_estimates: Dict[int, float] = {}
+    # Arrival times of recent sheds: demand the autoscaler must still see.
     recent_sheds: deque = deque()
-    active_count = num_shards
     start_seconds = 0.0
     if autoscaler is not None:
         first_peek = source.peek_time()
         start_seconds = first_peek if first_peek is not None else 0.0
-        active_count = autoscaler.start(start_seconds)
+        lane.active_count = autoscaler.start(start_seconds)
     if admission is not None:
         admission.reset()
     first_arrival: Optional[float] = None
@@ -845,9 +1017,7 @@ def serve_online_fast(
         )
     guaranteed_open = 0
     ctx = (
-        faults.runtime(
-            num_shards, slo, order=cluster._order, topology=cluster.topology
-        )
+        faults.runtime(num_shards, slo, order=order, topology=cluster.topology)
         if faults is not None
         else None
     )
@@ -858,139 +1028,29 @@ def serve_online_fast(
     )
     if ctx is not None and planner is not None:
         ctx.attach_planner(planner)
-    order = cluster._order
 
-    def active_ids():
-        """The active shard set in activation order (identity w/o topology)."""
-        return order[:active_count] if order is not None else range(active_count)
+    def shard_slice(lo: int, hi: int) -> Sequence[int]:
+        """Shards at activation positions ``[lo, hi)``."""
+        return order[lo:hi] if order is not None else range(lo, hi)
 
     leases: Optional[ShardLeaseTracker] = None
     if autoscaler is not None:
         leases = ShardLeaseTracker(num_shards)
-        for shard_id in active_ids():
+        for shard_id in lane.active_ids():
             leases.open(shard_id, start_seconds)
 
-    def dispatch_batch(batch: RequestBatch) -> None:
-        nonlocal last_finish, num_batches, guaranteed_open
-        if guaranteed_tenants:
-            for request in batch.requests:
-                if request.tenant in guaranteed_tenants:
-                    guaranteed_open -= 1
-        if ctx is not None:
-            ctx.dispatch(batch, env)
-            return
-        if planner is not None:
-            planner.dispatch(batch, env)
-            return
-        members = batch.requests
-        ready_seconds = batch.ready_seconds
-        workload = _merged_workload(batch, merged_cache)
-        shard_id = _pick_shard(cluster, heap, batch, workload, active_count)
-        start = max(ready_seconds, heap.busy[shard_id])
-        report, duration = _cached_serve(cluster, cluster.shards[shard_id], workload)
-        finish = start + duration
-        heap.update(shard_id, finish)
-        busy_total[shard_id] += duration
-        shard_requests[shard_id] += len(members)
-        num_batches += 1
-        last_finish = max(last_finish, finish)
-        batch_size = len(members)
-        dispatch_delay = start - ready_seconds
-        for request in members:
-            batching_delay = ready_seconds - request.arrival_seconds
-            served.append(
-                ServedRequest(
-                    request=request,
-                    shard_id=shard_id,
-                    batch_size=batch_size,
-                    batching_delay=batching_delay,
-                    dispatch_delay=dispatch_delay,
-                    service_seconds=duration,
-                    report=report,
-                )
-            )
-            accumulator.push(request, batching_delay, dispatch_delay, duration)
-        for request in members:
+    def on_complete(batch: RequestBatch, finish: float) -> None:
+        for request in batch.requests:
             pending_estimates.pop(request.request_id, None)
             heapq.heappush(inflight, finish)
             source.on_complete(request, finish)
 
-    def close_batch(key: object, ready_seconds: float) -> None:
-        nonlocal open_count
-        members = open_members.pop(key)
-        open_deadline.pop(key)
-        open_count -= len(members)
-        dispatch_batch(RequestBatch(requests=members, ready_seconds=ready_seconds))
-
-    def next_deadline() -> Optional[tuple]:
-        """Valid top of the deadline heap: (deadline, first request id, key)."""
-        while deadline_heap:
-            deadline, first_id, key = deadline_heap[0]
-            members = open_members.get(key)
-            if (
-                members is not None
-                and open_deadline[key] == deadline
-                and members[0].request_id == first_id
-            ):
-                return deadline_heap[0]
-            heapq.heappop(deadline_heap)
-        return None
-
-    def fault_commit(batch: RequestBatch, shard_id, start, duration, report, finish):
-        nonlocal last_finish, num_batches
-        members = batch.requests
-        ready_seconds = batch.ready_seconds
-        shard_requests[shard_id] += len(members)
-        num_batches += 1
-        last_finish = max(last_finish, finish)
-        batch_size = len(members)
-        dispatch_delay = start - ready_seconds
-        for request in members:
-            batching_delay = ready_seconds - request.arrival_seconds
-            served.append(
-                ServedRequest(
-                    request=request,
-                    shard_id=shard_id,
-                    batch_size=batch_size,
-                    batching_delay=batching_delay,
-                    dispatch_delay=dispatch_delay,
-                    service_seconds=duration,
-                    report=report,
-                )
-            )
-            accumulator.push(request, batching_delay, dispatch_delay, duration)
-        for request in members:
-            pending_estimates.pop(request.request_id, None)
-            heapq.heappush(inflight, finish)
-            source.on_complete(request, finish)
-
-    def fault_failed(request: InferenceRequest, seconds: float) -> None:
+    def on_failed(request: InferenceRequest, seconds: float) -> None:
         pending_estimates.pop(request.request_id, None)
         source.on_shed(request, seconds)
 
-    def add_busy(shard_id: int, seconds: float) -> None:
-        busy_total[shard_id] += seconds
-
-    env = (
-        FaultLoopHooks(
-            active_count=lambda: active_count,
-            active_ids=active_ids if order is not None else None,
-            busy=lambda shard_id: heap.busy[shard_id],
-            set_busy=heap.update,
-            add_busy=add_busy,
-            merged=lambda batch: _merged_workload(batch, merged_cache),
-            pick=lambda batch, workload, active: cluster._pick_shard(
-                batch, heap.busy, active
-            ),
-            serve=lambda shard_id, workload: _cached_serve(
-                cluster, cluster.shards[shard_id], workload
-            ),
-            commit=fault_commit,
-            on_failed=fault_failed,
-        )
-        if ctx is not None or planner is not None
-        else None
-    )
+    lane.notify_complete = on_complete
+    lane.notify_failed = on_failed
     if planner is not None:
 
         def on_planned(batch: RequestBatch) -> None:
@@ -1002,55 +1062,46 @@ def serve_online_fast(
 
         planner.on_planned = on_planned
 
+    def dispatch(batch: RequestBatch) -> None:
+        nonlocal guaranteed_open
+        if guaranteed_tenants:
+            for request in batch.requests:
+                if request.tenant in guaranteed_tenants:
+                    guaranteed_open -= 1
+        if ctx is not None:
+            ctx.dispatch(batch, lane)
+        elif planner is not None:
+            planner.dispatch(batch, lane)
+        else:
+            lane.dispatch(batch)
+
     def enqueue(request: InferenceRequest, now: float) -> None:
-        nonlocal guaranteed_open, open_count
+        nonlocal guaranteed_open
         if guaranteed_tenants and request.tenant in guaranteed_tenants:
             guaranteed_open += 1
-        if fair:
-            for batch in batcher.add(request, now):
-                dispatch_batch(batch)
-            return
-        key = request.workload.batch_key
-        members = open_members.get(key)
-        if members is None:
-            members = []
-            open_members[key] = members
-            deadline = now + scheduler.max_wait_seconds
-            open_deadline[key] = deadline
-            heapq.heappush(deadline_heap, (deadline, request.request_id, key))
-        members.append(request)
-        open_count += 1
-        if len(members) >= scheduler.max_batch_size:
-            close_batch(key, now)
+        for batch in batcher.add(request, now):
+            dispatch(batch)
 
     while True:
         t_arrival = source.peek_time()
-        if fair:
-            expiring = batcher.peek_deadline()
-        else:
-            expiring = next_deadline()
+        expiring = batcher.peek_deadline()
         t_deadline = expiring[0] if expiring is not None else None
         t_fault = ctx.next_fault_time() if ctx is not None else None
         t_retry = ctx.next_retry_time() if ctx is not None else None
         t_commit = planner.next_commit_time() if planner is not None else None
         # Event precedence at timestamp ties: commit < fault < deadline <
-        # retry < arrival (shared with the reference engine through
-        # ``due``).  Commits fire first so work whose service has begun is
-        # in flight — and immovable — before any same-instant scale
-        # decision or fault consults the plan.
+        # retry < arrival.  Commits fire first so work whose service has
+        # begun is in flight — and immovable — before any same-instant
+        # scale decision or fault consults the plan.
         if due(t_commit, t_fault, t_deadline, t_retry, t_arrival):
-            planner.commit_next(env)
+            planner.commit_next(lane)
             continue
         if due(t_fault, t_deadline, t_retry, t_arrival):
-            ctx.advance(env, t_fault)
+            ctx.advance(lane, t_fault)
             continue
         if due(t_deadline, t_retry, t_arrival):
-            if fair:
-                for batch in batcher.fire_deadline(expiring):
-                    dispatch_batch(batch)
-            else:
-                heapq.heappop(deadline_heap)
-                close_batch(expiring[2], expiring[0])
+            for batch in batcher.fire_deadline(expiring):
+                dispatch(batch)
             continue
         if due(t_retry, t_arrival):
             retry_request, retry_now = ctx.pop_retry()
@@ -1060,7 +1111,6 @@ def serve_online_fast(
             break
         request = source.pop()
         now = request.arrival_seconds
-        key = request.workload.batch_key
         if first_arrival is None:
             first_arrival = now
         while inflight and inflight[0] <= now:
@@ -1068,8 +1118,9 @@ def serve_online_fast(
         if autoscaler is not None:
             while recent_sheds and recent_sheds[0] < now - autoscaler.shed_memory_seconds:
                 recent_sheds.popleft()
-            pending = batcher.pending_count if fair else open_count
-            queue_depth = 1 + len(inflight) + pending + len(recent_sheds)
+            # The arriving request, open batches, in-flight work and recent
+            # sheds (shed demand still signals overload).
+            queue_depth = 1 + len(inflight) + batcher.pending_count + len(recent_sheds)
             if ctx is not None:
                 # Work the fault layer is holding (retries, parked batches)
                 # is still demand the autoscaler must see.
@@ -1078,7 +1129,7 @@ def serve_online_fast(
                 # Planned-but-uncommitted dispatches are queued work too;
                 # commit-at-dispatch counted them via inflight.
                 queue_depth += planner.planned
-            previous = active_count
+            previous = lane.active_count
             if guaranteed_tenants is not None:
                 guaranteed_depth = guaranteed_open + (
                     1 if request.tenant in guaranteed_tenants else 0
@@ -1088,19 +1139,17 @@ def serve_online_fast(
                 )
             else:
                 active_count = autoscaler.observe(now, queue_depth)
-            joining = (
-                order[previous:active_count]
-                if order is not None
-                else range(previous, active_count)
-            )
-            for shard_id in joining:
+            lane.active_count = active_count
+            for shard_id in shard_slice(previous, active_count):
+                # A joining shard pays its warm-up (bitstream load) before
+                # it can start a batch.
                 warmup = autoscaler.warmup_seconds
                 if warmup is None:
                     warmup = cluster.shards[shard_id].warmup_seconds
-                heap.update(shard_id, max(heap.busy[shard_id], now + warmup))
+                lane.set_busy(shard_id, max(lane.busy_until[shard_id], now + warmup))
                 leases.open(shard_id, now)
             if ctx is not None and active_count > previous:
-                ctx.flush(env)
+                ctx.flush(lane)
             if active_count < previous:
                 if planner is not None:
                     if ctx is not None:
@@ -1114,12 +1163,8 @@ def serve_online_fast(
                             if shard_id not in surviving
                         ]
                     else:
-                        leaving = (
-                            list(order[active_count:previous])
-                            if order is not None
-                            else list(range(active_count, previous))
-                        )
-                    drained, completed = planner.drain(leaving, now, env)
+                        leaving = list(shard_slice(active_count, previous))
+                    drained, completed = planner.drain(leaving, now, lane)
                     migrated = 0
                     for stranded in drained:
                         migrated += len(stranded.requests)
@@ -1127,55 +1172,42 @@ def serve_online_fast(
                             requests=stranded.requests, ready_seconds=now
                         )
                         if ctx is not None:
-                            ctx.dispatch(rebatch, env)
+                            ctx.dispatch(rebatch, lane)
                         else:
-                            planner.dispatch(rebatch, env)
+                            planner.dispatch(rebatch, lane)
                     autoscaler.record_drain(migrated, completed)
                 # Leases close after the drain so a drained shard is
                 # billed to its lowered (post-migration) horizon.
-                departing = (
-                    order[active_count:previous]
-                    if order is not None
-                    else range(active_count, previous)
-                )
-                for shard_id in departing:
-                    leases.close(shard_id, max(now, heap.busy[shard_id]))
+                for shard_id in shard_slice(active_count, previous):
+                    leases.close(shard_id, max(now, lane.busy_until[shard_id]))
         if admission is not None:
-            # Same prediction as the reference loop: least-loaded active
-            # backlog plus admitted-but-undispatched work spread across the
-            # active shards.  The pending sum is re-reduced (not maintained
-            # incrementally) so its float accumulation order matches.
-            if ctx is not None:
-                # Only live shards can absorb work (textually the reference
-                # loop's expression, over the heap's busy list).
-                alive = ctx.active_alive(active_count)
+            # Backlog of the least-loaded active shard plus the admitted but
+            # undispatched work spread across the active shards.  The
+            # pending sum is re-reduced (not maintained incrementally) so
+            # its float accumulation order never depends on history.
+            if ctx is None:
+                backlog = lane.least_backlog(now) + sum(
+                    pending_estimates.values()
+                ) / lane.active_count
+            else:
+                # Only live shards can absorb work; with none, the
+                # prediction is unbounded and only guaranteed-tier traffic
+                # gets through (to queue until recovery).
+                alive = ctx.active_alive(lane.active_count)
                 if alive:
-                    backlog = min(
-                        max(heap.busy[i] - now, 0.0) for i in alive
-                    ) + sum(pending_estimates.values()) / len(alive)
+                    backlog = lane.least_backlog(now, alive) + sum(
+                        pending_estimates.values()
+                    ) / len(alive)
                 else:
                     backlog = float("inf")
-            elif order is not None:
-                # Non-prefix active set: the heap's prefix shortcut does not
-                # apply; reduce over the order slice exactly like the
-                # reference loop (value-identical floats either way).
-                backlog = min(
-                    max(heap.busy[i] - now, 0.0) for i in active_ids()
-                ) + sum(pending_estimates.values()) / active_count
-            else:
-                backlog = max(heap.min_busy(active_count) - now, 0.0) + sum(
-                    pending_estimates.values()
-                ) / active_count
-            if fair:
-                # Mirror the reference loop: spill-bound requests pay a
-                # full standalone pass, not the marginal increment.
-                joinable = (
-                    batcher.open_members(key)
-                    if batcher.can_join(key, request.tenant)
-                    else None
-                )
-            else:
-                joinable = open_members.get(key)
+            # A request the fair batcher would spill pays a full standalone
+            # pass, not the marginal increment of a batch it will not join.
+            key = request.workload.batch_key
+            joinable = (
+                batcher.open_members(key)
+                if batcher.can_join(key, request.tenant)
+                else None
+            )
             estimate = _admission_estimate(cluster.template, request, admission, joinable)
             # Degraded-quality tier: price the request's cheaper profile
             # against *its own* open batch (degraded requests batch under
@@ -1188,14 +1220,11 @@ def serve_online_fast(
             degraded_request = None
             if degraded_workload is not None:
                 degraded_key = degraded_workload.batch_key
-                if fair:
-                    degraded_joinable = (
-                        batcher.open_members(degraded_key)
-                        if batcher.can_join(degraded_key, request.tenant)
-                        else None
-                    )
-                else:
-                    degraded_joinable = open_members.get(degraded_key)
+                degraded_joinable = (
+                    batcher.open_members(degraded_key)
+                    if batcher.can_join(degraded_key, request.tenant)
+                    else None
+                )
                 degraded_request = replace(request, workload=degraded_workload)
                 degraded_estimate = _admission_estimate(
                     cluster.template, degraded_request, admission, degraded_joinable
@@ -1205,49 +1234,28 @@ def serve_online_fast(
             )
             if admission.record_decisions:
                 decisions.append(decision)
-            if decision.admitted:
-                if decision.degraded:
-                    request = degraded_request
-                    estimate = degraded_estimate
-                pending_estimates[request.request_id] = estimate
             if not decision.admitted:
-                shed_records.append(
-                    ShedRecord(
-                        request=request,
-                        shed_seconds=now,
-                        predicted_sojourn=decision.predicted_sojourn,
-                        slo_seconds=decision.slo_seconds,
-                    )
-                )
-                accumulator.push_shed(request)
+                lane.record_shed(request, now, decision)
                 recent_sheds.append(now)
                 source.on_shed(request, now)
                 continue
+            if decision.degraded:
+                request = degraded_request
+                estimate = degraded_estimate
+            pending_estimates[request.request_id] = estimate
         enqueue(request, now)
 
     fault_stats = (
-        ctx.finalize(first_arrival, last_finish) if ctx is not None else None
+        ctx.finalize(first_arrival, lane.last_finish) if ctx is not None else None
     )
-    shard_seconds = leases.finish(last_finish) if leases is not None else None
+    shard_seconds = leases.finish(lane.last_finish) if leases is not None else None
     makespan = 0.0
-    if served and first_arrival is not None:
-        makespan = last_finish - first_arrival
-    return ClusterReport(
-        system=cluster.system_name,
-        policy=cluster.policy,
-        num_shards=num_shards,
-        served=served,
-        num_batches=num_batches,
-        makespan_seconds=makespan,
-        shard_busy_seconds=busy_total,
-        shard_requests=shard_requests,
-        shed=shed_records,
-        slo=slo,
+    if lane.served and first_arrival is not None:
+        makespan = lane.last_finish - first_arrival
+    return lane.report(
+        makespan,
         decisions=decisions,
         scaling_timeline=list(autoscaler.timeline()) if autoscaler is not None else [],
-        aggregates=accumulator.aggregates(
-            count=len(served), shed_count=len(shed_records)
-        ),
         faults=fault_stats,
         shard_seconds=shard_seconds,
     )

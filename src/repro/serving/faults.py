@@ -35,8 +35,9 @@ The *voluntary* counterpart of the crash drain lives here too:
 :class:`DrainPlanner` defers the loops' commit-at-dispatch so an
 :class:`~repro.serving.control.Autoscaler` scale-down can hand a healthy
 shard's planned-but-unstarted backlog to the survivors instead of
-stranding it (see the class docstring).  Both engines drive it through
-the same :class:`FaultLoopHooks`, exactly like the fault runtime.
+stranding it (see the class docstring).  The serving loops drive both
+through :class:`FaultLoopHooks`, implemented by either engine's shard
+lane.
 
 :class:`RandomFaults` generates reproducible schedules from a seed,
 mirroring the arrival-generator idiom (`numpy` ``default_rng``).
@@ -49,7 +50,7 @@ import math
 from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Protocol, Sequence, Tuple
 
 import numpy as np
 
@@ -77,10 +78,11 @@ DOMAIN_FAULT_KINDS = (FAULT_CRASH_DOMAIN, FAULT_RECOVER_DOMAIN)
 def due(when: Optional[float], *others: Optional[float]) -> bool:
     """True when ``when`` is scheduled and no later than every other horizon.
 
-    The serving loops rank their four event sources (fault, batch
-    deadline, retry, arrival) with this one predicate so both engines
-    break timestamp ties identically: a source fires when it is due and
-    every source ranked after it is either exhausted or no earlier.
+    The online loop ranks its event sources (drain commit, fault, batch
+    deadline, retry, arrival) with this one predicate, and the offline
+    fault replay ranks faults before retries the same way: a source fires
+    when it is due and every source ranked after it is either exhausted or
+    no earlier.
     """
     if when is None:
         return False
@@ -123,7 +125,7 @@ class DomainFaultEvent:
     per-shard :class:`FaultEvent` per member of the domain at the same
     instant, and the expanded stream is sorted by ``(seconds, shard_id)`` —
     order-stable tie-breaking, so two domains failing at the same moment
-    apply in a deterministic shard order in both engines.
+    apply in a deterministic shard order.
     """
 
     seconds: float
@@ -521,56 +523,54 @@ class FaultStats:
         }
 
 
-class FaultLoopHooks:
+class FaultLoopHooks(Protocol):
     """How a serving loop exposes its mutable state to the fault runtime.
 
-    Both engines drive the *same* :class:`FaultRuntime` code through this
-    bundle of callbacks, which is what keeps their reports byte-identical
-    under faults: the runtime owns every fault decision, the hooks only
-    read/write loop-local state (busy horizons, served records, arrival
-    sources).
+    Both engines drive the *same* :class:`FaultRuntime` and
+    :class:`DrainPlanner` code through this interface, which is what keeps
+    their reports byte-identical under faults and drains: the runtime owns
+    every fault decision, the hooks only read/write run-local state (busy
+    horizons, served records, arrival sources).  The shard lanes of
+    :mod:`repro.serving.engine` implement it.
     """
 
-    __slots__ = (
-        "active_count",
-        "busy",
-        "set_busy",
-        "add_busy",
-        "merged",
-        "pick",
-        "serve",
-        "commit",
-        "on_failed",
-        "active_ids",
-    )
+    #: Size of the autoscaler's target active set (every shard when fixed).
+    active_count: int
 
-    def __init__(
+    def active_ids(self) -> Sequence[int]:
+        """The active set in activation order (``range`` without a topology)."""
+
+    def busy(self, shard_id: int) -> float:
+        """The shard's busy-until horizon."""
+
+    def set_busy(self, shard_id: int, seconds: float) -> None:
+        """Move the shard's busy-until horizon."""
+
+    def add_busy(self, shard_id: int, seconds: float) -> None:
+        """Charge service time to the shard's utilisation."""
+
+    def merged(self, batch: RequestBatch) -> object:
+        """The batch's merged workload."""
+
+    def pick(self, batch: RequestBatch, workload: object, active: Sequence[int]) -> int:
+        """Dispatch-policy choice among the ``active`` candidates."""
+
+    def serve(self, shard_id: int, workload: object) -> Tuple[object, float]:
+        """Run ``workload`` on the shard: ``(report, duration)``."""
+
+    def commit(
         self,
-        *,
-        active_count: Callable[[], int],
-        busy: Callable[[int], float],
-        set_busy: Callable[[int, float], None],
-        add_busy: Callable[[int, float], None],
-        merged: Callable[[RequestBatch], object],
-        pick: Callable[[RequestBatch, object, Sequence[int]], int],
-        serve: Callable[[int, object], Tuple[object, float]],
-        commit: Callable[[RequestBatch, int, float, float, object, float], None],
-        on_failed: Callable[[InferenceRequest, float], None],
-        active_ids: Optional[Callable[[], Sequence[int]]] = None,
+        batch: RequestBatch,
+        shard_id: int,
+        start: float,
+        duration: float,
+        report: object,
+        finish: float,
     ) -> None:
-        self.active_count = active_count
-        self.busy = busy
-        self.set_busy = set_busy
-        self.add_busy = add_busy
-        self.merged = merged
-        self.pick = pick
-        self.serve = serve
-        self.commit = commit
-        self.on_failed = on_failed
-        #: Optional explicit active shard ids (the cluster's activation-order
-        #: prefix under domain-spread placement); None keeps the historical
-        #: ``range(active_count())`` prefix.
-        self.active_ids = active_ids
+        """Record the batch as served on the shard."""
+
+    def on_failed(self, request: InferenceRequest, seconds: float) -> None:
+        """A request was permanently lost at ``seconds``."""
 
 
 class DrainPlanner:
@@ -599,9 +599,8 @@ class DrainPlanner:
       current by :meth:`raise_floor` when the fault runtime moves a
       horizon without a planned entry (recovery, in-flight kill).
 
-    Both engines drive the planner through the same
-    :class:`FaultLoopHooks`, which is what keeps drained runs
-    byte-identical across the reference loop and the fast engine.
+    The online loop drives the planner through :class:`FaultLoopHooks`,
+    so drained runs are byte-identical across the engines' shard lanes.
     """
 
     def __init__(self, num_shards: int) -> None:
@@ -627,16 +626,11 @@ class DrainPlanner:
     def dispatch(self, batch: RequestBatch, env: FaultLoopHooks) -> None:
         """The fault-free dispatch path: pick, price, plan.
 
-        Written once so the reference loop and the fast engine share the
-        exact same pick/serve/plan sequence when draining without a fault
-        schedule.
+        Used when draining without a fault schedule; with one, the fault
+        runtime's :meth:`FaultRuntime.dispatch` plans instead.
         """
-        if env.active_ids is not None:
-            active: Sequence[int] = env.active_ids()
-        else:
-            active = range(env.active_count())
         workload = env.merged(batch)
-        shard_id = env.pick(batch, workload, active)
+        shard_id = env.pick(batch, workload, env.active_ids())
         start = max(batch.ready_seconds, env.busy(shard_id))
         report, duration = env.serve(shard_id, workload)
         finish = start + duration
@@ -733,7 +727,7 @@ class DrainPlanner:
 
 
 class FaultRuntime:
-    """Per-run mutable fault state shared by both serving engines.
+    """Per-run mutable fault state of one serving run (either engine).
 
     Tracks shard liveness and slowdown factors as events apply, owns the
     retry heap and the parked-batch list, and performs every
@@ -942,7 +936,7 @@ class FaultRuntime:
 
     def flush(self, env: FaultLoopHooks) -> None:
         """Re-dispatch parked batches now that capacity may be back."""
-        if not self.parked or not self.active_alive(env.active_count()):
+        if not self.parked or not self.active_alive(env.active_count):
             return
         pending, self.parked = self.parked, []
         for batch in pending:
@@ -954,7 +948,7 @@ class FaultRuntime:
         if not self.schedule.fault_aware:
             self._dispatch_oblivious(batch, env)
             return
-        active = self.active_alive(env.active_count())
+        active = self.active_alive(env.active_count)
         if not active:
             self.parked.append(batch)
             return
@@ -997,26 +991,7 @@ class FaultRuntime:
                 return
         if migrated:
             self.migrated += len(batch.requests)
-        report, duration = env.serve(shard_id, workload)
-        duration = duration * self.factor[shard_id]
-        finish = start + duration
-        if crash_at is not None and crash_at < finish:
-            # In-flight failure: the pass dies with the shard; each member
-            # retries with exponential backoff until its budget runs out.
-            env.set_busy(shard_id, crash_at)
-            env.add_busy(shard_id, crash_at - start)
-            if self.planner is not None:
-                self.planner.raise_floor(shard_id, crash_at)
-            for request in batch.requests:
-                self._retry_or_fail(request, crash_at, env)
-            return
-        env.set_busy(shard_id, finish)
-        if self.planner is not None:
-            self.planner.plan(batch, shard_id, start, duration, report, finish)
-            return
-        env.add_busy(shard_id, duration)
-        env.commit(batch, shard_id, start, duration, report, finish)
-        self._note_degraded(batch, start, duration, finish)
+        self._serve(batch, env, shard_id, workload, start, crash_at)
 
     def _dispatch_oblivious(self, batch: RequestBatch, env: FaultLoopHooks) -> None:
         """The fault-oblivious baseline: dispatch is blind to liveness.
@@ -1028,39 +1003,49 @@ class FaultRuntime:
         shard's queue when the crash hits dies with the shard, and in-flight
         failures are terminal: nothing migrates, nothing retries.
         """
-        if env.active_ids is not None:
-            active = list(env.active_ids())
-        else:
-            active = list(range(env.active_count()))
         workload = env.merged(batch)
-        shard_id = env.pick(batch, workload, active)
+        shard_id = env.pick(batch, workload, env.active_ids())
         if not self.alive[shard_id]:
             # Fail fast: the dead shard's horizon stays frozen, so dispatch
             # never learns to route around it.
-            for request in batch.requests:
-                self.failed += 1
-                env.on_failed(request, batch.ready_seconds)
+            self._fail(batch.requests, batch.ready_seconds, env)
             return
         start = max(batch.ready_seconds, env.busy(shard_id))
         crash_at = self.next_crash_after(shard_id, batch.ready_seconds)
         if crash_at is not None and crash_at <= start:
             # The batch sat in the shard's queue when the crash hit: the
             # queue dies with the shard and nothing resubmits the work.
-            for request in batch.requests:
-                self.failed += 1
-                env.on_failed(request, crash_at)
+            self._fail(batch.requests, crash_at, env)
             return
+        self._serve(batch, env, shard_id, workload, start, crash_at)
+
+    def _serve(
+        self,
+        batch: RequestBatch,
+        env: FaultLoopHooks,
+        shard_id: int,
+        workload: object,
+        start: float,
+        crash_at: Optional[float],
+    ) -> None:
+        """Run ``batch`` on ``shard_id`` from ``start`` and commit (or plan)
+        it — unless the shard's next crash lands mid-pass."""
         report, duration = env.serve(shard_id, workload)
         duration = duration * self.factor[shard_id]
         finish = start + duration
         if crash_at is not None and crash_at < finish:
+            # In-flight failure: the pass dies with the shard.  Fault-aware
+            # members retry with exponential backoff until their budget
+            # runs out; the oblivious baseline loses them outright.
             env.set_busy(shard_id, crash_at)
             env.add_busy(shard_id, crash_at - start)
             if self.planner is not None:
                 self.planner.raise_floor(shard_id, crash_at)
+            if not self.schedule.fault_aware:
+                self._fail(batch.requests, crash_at, env)
+                return
             for request in batch.requests:
-                self.failed += 1
-                env.on_failed(request, crash_at)
+                self._retry_or_fail(request, crash_at, env)
             return
         env.set_busy(shard_id, finish)
         if self.planner is not None:
@@ -1069,6 +1054,13 @@ class FaultRuntime:
         env.add_busy(shard_id, duration)
         env.commit(batch, shard_id, start, duration, report, finish)
         self._note_degraded(batch, start, duration, finish)
+
+    def _fail(
+        self, requests: Sequence[InferenceRequest], seconds: float, env: FaultLoopHooks
+    ) -> None:
+        for request in requests:
+            self.failed += 1
+            env.on_failed(request, seconds)
 
     def _retry_or_fail(self, request: InferenceRequest, seconds: float, env: FaultLoopHooks) -> None:
         attempt = self._attempts.get(request.request_id, 0)
@@ -1079,8 +1071,7 @@ class FaultRuntime:
             heapq.heappush(self._retries, (retry_at, self._retry_seq, request))
             self._retry_seq += 1
         else:
-            self.failed += 1
-            env.on_failed(request, seconds)
+            self._fail((request,), seconds, env)
 
     def _note_degraded(
         self, batch: RequestBatch, start: float, duration: float, finish: float
@@ -1098,32 +1089,37 @@ class FaultRuntime:
                 self.slo_met_degraded += 1
 
     # -------------------------------------------------------- offline replay
-    def _settle_retries(self, env: FaultLoopHooks, until: Optional[float]) -> None:
+    def _settle(self, env: FaultLoopHooks, until: Optional[float]) -> None:
+        """Apply fault events and retries due by ``until`` (None: all).
+
+        One event timestamp at a time, fault events before retries at a
+        tie — the online loop's order — so parked work flushes after each
+        event instead of once after a whole run of them.  A retry goes out
+        as a singleton batch: offline there are no open batches to rejoin.
+        """
         while True:
-            retry_at = self.next_retry_time()
-            if retry_at is None or (until is not None and retry_at > until):
+            t_fault = self.next_fault_time()
+            t_retry = self.next_retry_time()
+            if until is not None:
+                t_fault = t_fault if t_fault is not None and t_fault <= until else None
+                t_retry = t_retry if t_retry is not None and t_retry <= until else None
+            if due(t_fault, t_retry):
+                self.advance(env, t_fault)
+            elif t_retry is not None:
+                request, at = self.pop_retry()
+                self.dispatch(RequestBatch(requests=[request], ready_seconds=at), env)
+            else:
                 return
-            self.advance(env, retry_at)
-            if self.next_retry_time() != retry_at:
-                continue  # the advance re-dispatched work and moved the horizon
-            request, at = self.pop_retry()
-            self.dispatch(RequestBatch(requests=[request], ready_seconds=at), env)
 
     def step(self, env: FaultLoopHooks, batch: RequestBatch) -> None:
-        """Offline replay: settle every retry and fault event due before
-        ``batch`` closes, then dispatch it."""
-        self._settle_retries(env, batch.ready_seconds)
-        self.advance(env, batch.ready_seconds)
+        """Offline replay: settle every fault event and retry due by the
+        time ``batch`` closes, then dispatch it."""
+        self._settle(env, batch.ready_seconds)
         self.dispatch(batch, env)
 
     def drain(self, env: FaultLoopHooks) -> None:
         """Settle all remaining retries and fault events after the last batch."""
-        while True:
-            self._settle_retries(env, None)
-            if self._cursor < len(self._events):
-                self.advance(env, self._events[self._cursor].seconds)
-                continue
-            break
+        self._settle(env, None)
 
     # -------------------------------------------------------------- summary
     def finalize(self, first_arrival: Optional[float], last_finish: float) -> FaultStats:

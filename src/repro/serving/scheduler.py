@@ -17,10 +17,11 @@ contract the 1-shard identity test leans on.
 
 from __future__ import annotations
 
+import heapq
 from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Deque, Dict, Hashable, List, Mapping, NamedTuple, Optional, Tuple
+from typing import Deque, Dict, Hashable, List, Mapping, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -139,11 +140,9 @@ class BatchScheduler:
         """Whether weighted-fair (tenant-aware) batch formation is enabled."""
         return self.tenant_weights is not None
 
-    def fair_batcher(self) -> "TenantFairBatcher":
-        """A fresh fair-batching state machine for one serving run."""
-        if not self.fair:
-            raise ValueError("fair_batcher() requires tenant_weights")
-        return TenantFairBatcher(self)
+    def online_batcher(self) -> Union["FifoBatcher", "TenantFairBatcher"]:
+        """A fresh batch-formation state machine for one online run."""
+        return TenantFairBatcher(self) if self.fair else FifoBatcher(self)
 
     def schedule(self, trace: RequestTrace) -> List[RequestBatch]:
         """Group the trace into batches, ordered by the time they close.
@@ -152,7 +151,7 @@ class BatchScheduler:
         parameters, never on cluster state, so the same trace produces the
         same batches regardless of how many shards later serve them.  In
         fair mode the batches come from :class:`TenantFairBatcher`, in
-        closure order (the same order the online loops dispatch).
+        closure order (the same order the online loop dispatches).
         """
         if self.fair:
             return self._schedule_fair(trace)
@@ -196,11 +195,11 @@ class BatchScheduler:
     def _schedule_fair(self, trace: RequestTrace) -> List[RequestBatch]:
         """Offline fair-mode scheduling: drive the batcher over the trace.
 
-        Event order matches the online loops exactly — deadlines at or
+        Event order matches the online loop exactly — deadlines at or
         before an arrival fire first — so an uncontrolled online replay of
         the same trace forms identical batches.
         """
-        batcher = self.fair_batcher()
+        batcher = TenantFairBatcher(self)
         closed: List[RequestBatch] = []
         for request in trace:
             now = request.arrival_seconds
@@ -360,6 +359,81 @@ class BatchScheduler:
         )
 
 
+class FifoBatcher:
+    """First-come, first-served size-or-timeout batch formation for one run.
+
+    The online counterpart of :meth:`BatchScheduler.schedule`, with the
+    event interface of :class:`TenantFairBatcher` so the online loop drives
+    either one.  Open batches expire through a heap of ``(deadline, first
+    member id, key)`` entries with lazy invalidation: :meth:`peek_deadline`
+    returns what ``min`` over the open batches by ``(deadline, first member
+    id)`` would — ties fire in the offline scheduler's dispatch order —
+    without scanning every open batch.
+    """
+
+    __slots__ = ("cap", "wait", "_members", "_deadline", "_heap", "pending_count")
+
+    def __init__(self, scheduler: BatchScheduler) -> None:
+        self.cap = scheduler.max_batch_size
+        self.wait = scheduler.max_wait_seconds
+        self._members: Dict[Hashable, List[InferenceRequest]] = {}
+        self._deadline: Dict[Hashable, float] = {}
+        self._heap: List[Tuple[float, int, Hashable]] = []
+        #: Requests waiting in open batches.
+        self.pending_count = 0
+
+    def open_members(self, key: Hashable) -> Optional[List[InferenceRequest]]:
+        """Members of the forming batch for ``key`` (None when no batch)."""
+        return self._members.get(key)
+
+    def can_join(self, key: Hashable, tenant: str) -> bool:
+        """Every arrival joins its key's forming batch in FIFO mode."""
+        return True
+
+    def add(self, request: InferenceRequest, now: float) -> List[RequestBatch]:
+        """Feed one arrival; returns the batch it filled, if any."""
+        key = request.workload.batch_key
+        members = self._members.get(key)
+        if members is None:
+            members = []
+            self._members[key] = members
+            deadline = now + self.wait
+            self._deadline[key] = deadline
+            heapq.heappush(self._heap, (deadline, request.request_id, key))
+        members.append(request)
+        self.pending_count += 1
+        if len(members) >= self.cap:
+            return [self._close(key, now)]
+        return []
+
+    def peek_deadline(self) -> Optional[Tuple[float, int, Hashable]]:
+        """Earliest ``(deadline, first member id, key)`` among open batches."""
+        heap = self._heap
+        while heap:
+            deadline, first_id, key = heap[0]
+            members = self._members.get(key)
+            if (
+                members is not None
+                and self._deadline[key] == deadline
+                and members[0].request_id == first_id
+            ):
+                return heap[0]
+            heapq.heappop(heap)
+        return None
+
+    def fire_deadline(self, expiring: Tuple[float, int, Hashable]) -> List[RequestBatch]:
+        """Close the batch :meth:`peek_deadline` just returned."""
+        heapq.heappop(self._heap)
+        deadline, _, key = expiring
+        return [self._close(key, deadline)]
+
+    def _close(self, key: Hashable, ready: float) -> RequestBatch:
+        members = self._members.pop(key)
+        del self._deadline[key]
+        self.pending_count -= len(members)
+        return RequestBatch(requests=members, ready_seconds=ready)
+
+
 @dataclass
 class _OpenFairBatch:
     """One forming batch of the fair batcher (per compatibility key)."""
@@ -393,7 +467,7 @@ class TenantFairBatcher:
     instant and cascades.
 
     Everything is event-local and deterministic, so the offline scheduler
-    sweep and both online engines drive one identical state machine.
+    sweep and the online loop drive one identical state machine.
     """
 
     def __init__(self, scheduler: BatchScheduler) -> None:

@@ -100,8 +100,9 @@ class TestOfflineEquivalence:
         trace = OpenLoopArrivals(WORKLOAD_POOL, rate_rps=1000.0, seed=9).trace(30)
         slo = SLOPolicy(default_slo_seconds=0.1, per_workload={"wl-m": 0.2})
         reference, fast = _pair(services, "DynPre")
-        assert _render(reference.serve_trace(trace, slo=slo)) == _render(
-            fast.serve_trace(trace, slo=slo)
+        config = ServingConfig(slo=slo)
+        assert _render(reference.serve_trace(trace, config=config)) == _render(
+            fast.serve_trace(trace, config=config)
         )
 
     def test_served_records_match_not_just_summaries(self, services):
@@ -279,8 +280,9 @@ class TestTenantEquivalence:
             locality_spill_seconds=0.05,
         )
         slo = self._slo()
-        assert _render(reference.serve_trace(trace, slo=slo)) == _render(
-            fast.serve_trace(trace, slo=slo)
+        config = ServingConfig(slo=slo)
+        assert _render(reference.serve_trace(trace, config=config)) == _render(
+            fast.serve_trace(trace, config=config)
         )
 
     def test_bursty_fair_controlled_online(self, services):
@@ -546,3 +548,78 @@ class TestFastEngineExtras:
             bump = busy[shard] + rng.random()
             busy[shard] = bump
             heap.update(shard, bump)
+
+    def test_deadline_heap_matches_linear_min(self):
+        """The online loop's deadline heap (``FifoBatcher``) expires what the
+        linear ``min(open, key=(deadline, first request id))`` would.
+
+        The oracle is a plain dict model of the open batches, updated by
+        the same size-or-timeout rules, on random arrival / deadline /
+        re-enqueue (retry) sequences with same-instant ties across keys.
+        """
+        import random
+
+        rng = random.Random(11)
+        cap, wait = 3, 0.004
+        batcher = BatchScheduler(max_batch_size=cap, max_wait_seconds=wait).online_batcher()
+        profiles = [make_profile(f"wl-{i}") for i in range(3)]
+        open_members, open_deadline = {}, {}
+        closed_requests = []
+        now = 0.0
+        for request_id in range(2000):
+            if open_deadline and rng.random() < 0.3:
+                key = min(
+                    open_deadline,
+                    key=lambda k: (open_deadline[k], open_members[k][0].request_id),
+                )
+                expiring = batcher.peek_deadline()
+                closed = batcher.fire_deadline(expiring)
+                members = open_members.pop(key)
+                assert [(b.requests, b.ready_seconds) for b in closed] == [
+                    (members, open_deadline.pop(key))
+                ]
+                closed_requests.extend(members)
+            else:
+                now += rng.choice([0.0, 0.0, 0.0, 0.001, 0.003])
+                if closed_requests and rng.random() < 0.15:
+                    # A retry re-enqueues a served-and-lost request: an
+                    # old, small id (never open twice at once).
+                    retried = closed_requests.pop(rng.randrange(len(closed_requests)))
+                    request = InferenceRequest(
+                        request_id=retried.request_id,
+                        arrival_seconds=now,
+                        workload=rng.choice(profiles),
+                    )
+                else:
+                    request = InferenceRequest(
+                        request_id=request_id,
+                        arrival_seconds=now,
+                        workload=rng.choice(profiles),
+                    )
+                key = request.workload.batch_key
+                if key not in open_members:
+                    open_members[key] = []
+                    open_deadline[key] = now + wait
+                open_members[key].append(request)
+                closed = batcher.add(request, now)
+                if len(open_members[key]) >= cap:
+                    members = open_members.pop(key)
+                    open_deadline.pop(key)
+                    assert [(b.requests, b.ready_seconds) for b in closed] == [
+                        (members, now)
+                    ]
+                    closed_requests.extend(members)
+                else:
+                    assert closed == []
+            expiring = batcher.peek_deadline()
+            if not open_deadline:
+                assert expiring is None
+            else:
+                key = min(
+                    open_deadline,
+                    key=lambda k: (open_deadline[k], open_members[k][0].request_id),
+                )
+                assert expiring == (
+                    open_deadline[key], open_members[key][0].request_id, key
+                )
+            assert batcher.pending_count == sum(map(len, open_members.values()))

@@ -9,6 +9,8 @@
 3. *Recovery*: a schedule with no crashes never fails or migrates anything,
    and a crash-free run is byte-identical to a run with no schedule at all
    (the fault layer is a strict generalisation of the fault-free loops).
+4. *Offline/online agreement*: without retries, offline replay and online
+   replay of the same trace under the same schedule are the same run.
 """
 
 import json
@@ -29,6 +31,7 @@ from repro.serving import (
     FaultSchedule,
     OpenLoopArrivals,
     RandomFaults,
+    ServingConfig,
     ShardedServiceCluster,
     SLOPolicy,
     TenantQuota,
@@ -96,7 +99,7 @@ class _CountingSource(TraceArrivals):
 def test_offline_conservation(services, faults, seed):
     """Offline replay: every request is served or failed, never lost."""
     trace = _trace(seed)
-    report = _cluster(services).serve_trace(trace, faults=faults)
+    report = _cluster(services).serve_trace(trace, config=ServingConfig(faults=faults))
     goodput = report.goodput
     assert goodput.offered == len(trace)
     assert goodput.offered == goodput.served + goodput.shed + goodput.failed
@@ -113,7 +116,10 @@ def test_online_conservation_with_admission(services, faults, seed):
     slo = SLOPolicy(default_slo_seconds=0.5)
     source = _CountingSource(trace)
     report = _cluster(services).serve_online(
-        source, slo=slo, admission=AdmissionController(policy=slo), faults=faults
+        source,
+        config=ServingConfig(
+            slo=slo, controller=AdmissionController(policy=slo), faults=faults
+        ),
     )
     goodput = report.goodput
     assert goodput.offered == len(trace)
@@ -128,10 +134,11 @@ def test_online_conservation_with_admission(services, faults, seed):
 def test_engines_identical_offline_under_faults(services, faults, seed):
     trace = _trace(seed)
     slo = SLOPolicy(default_slo_seconds=0.5)
+    config = ServingConfig(slo=slo, faults=faults)
     reference = _cluster(services, engine="reference").serve_trace(
-        trace, slo=slo, faults=faults
+        trace, config=config
     )
-    fast = _cluster(services, engine="fast").serve_trace(trace, slo=slo, faults=faults)
+    fast = _cluster(services, engine="fast").serve_trace(trace, config=config)
     assert _render(reference) == _render(fast)
 
 
@@ -144,13 +151,50 @@ def test_engines_identical_online_under_faults(services, faults, seed):
     def run(engine):
         return _cluster(services, engine=engine).serve_online(
             TraceArrivals(trace),
-            slo=slo,
-            admission=AdmissionController(policy=slo),
-            autoscaler=Autoscaler(min_shards=1, max_shards=NUM_SHARDS),
-            faults=faults,
+            config=ServingConfig(
+                slo=slo,
+                controller=AdmissionController(policy=slo),
+                autoscaler=Autoscaler(min_shards=1, max_shards=NUM_SHARDS),
+                faults=faults,
+            ),
         )
 
     assert _render(run("reference")) == _render(run("fast"))
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**16),
+    horizon=st.sampled_from([0.1, 0.3, 0.6]),
+    up=st.sampled_from([0.02, 0.05, 0.2]),
+    down=st.sampled_from([0.01, 0.02, 0.15]),
+    slow=st.sampled_from([0.0, 0.5]),
+    fault_aware=st.booleans(),
+)
+def test_offline_matches_online_without_retries(
+    services, seed, horizon, up, down, slow, fault_aware
+):
+    """With no retries, offline and online fault replay are the same run.
+
+    Retry batching is the one intended difference between the two paths:
+    offline sends a retry out as a singleton batch, online re-enqueues it
+    into the open batches.  With ``retry_budget=0`` nothing retries, so
+    fault events, parking, migration and failures must agree exactly.
+    """
+    faults = RandomFaults(
+        num_shards=NUM_SHARDS,
+        horizon_seconds=horizon,
+        mean_uptime_seconds=up,
+        mean_downtime_seconds=down,
+        slowdown_probability=slow,
+        retry_budget=0,
+        seed=seed,
+    ).schedule()
+    config = ServingConfig(faults=faults, fault_aware=fault_aware)
+    trace = _trace(seed)
+    offline = _cluster(services).serve_trace(trace, config=config)
+    online = _cluster(services).serve_online(TraceArrivals(trace), config=config)
+    assert _render(offline) == _render(online)
 
 
 # ----------------------------------------------------------------- recovery
@@ -165,7 +209,9 @@ def test_slowdowns_alone_never_fail_requests(services, seed, factor):
             FaultEvent(seconds=0.02, shard_id=1, kind=FAULT_SLOWDOWN, factor=factor),
         )
     )
-    report = _cluster(services).serve_trace(_trace(seed), faults=faults)
+    report = _cluster(services).serve_trace(
+        _trace(seed), config=ServingConfig(faults=faults)
+    )
     assert report.faults.failed == 0
     assert report.faults.migrated == 0
     assert report.faults.retried == 0
@@ -177,7 +223,9 @@ def test_slowdowns_alone_never_fail_requests(services, seed, factor):
 def test_empty_schedule_matches_no_schedule(services, seed):
     """An empty fault schedule only adds the (empty) faults section."""
     trace = _trace(seed)
-    faulted = _cluster(services).serve_trace(trace, faults=FaultSchedule(events=()))
+    faulted = _cluster(services).serve_trace(
+        trace, config=ServingConfig(faults=FaultSchedule(events=()))
+    )
     plain = _cluster(services).serve_trace(trace)
     faulted_dict = faulted.as_dict()
     plain_dict = plain.as_dict()
@@ -202,7 +250,9 @@ def test_recovered_crash_serves_everything_offline(services, seed, budget):
         retry_budget=budget,
         retry_backoff_seconds=0.005,
     )
-    report = _cluster(services).serve_trace(_trace(seed), faults=faults)
+    report = _cluster(services).serve_trace(
+        _trace(seed), config=ServingConfig(faults=faults)
+    )
     assert report.goodput.served == report.goodput.offered
     assert report.faults.failed == 0
 
@@ -218,7 +268,7 @@ def test_all_shards_dead_fails_everything(services):
         retry_backoff_seconds=0.005,
     )
     trace = _trace(3, num_requests=10)
-    report = _cluster(services).serve_trace(trace, faults=faults)
+    report = _cluster(services).serve_trace(trace, config=ServingConfig(faults=faults))
     assert report.goodput.served == 0
     assert report.goodput.failed == len(trace)
 
@@ -231,9 +281,15 @@ def test_fault_oblivious_baseline_serves_less(services):
         events=events, retry_budget=1, retry_backoff_seconds=0.005, fault_aware=False
     )
     trace = _trace(5, num_requests=40)
-    served_aware = _cluster(services).serve_trace(trace, faults=aware).goodput.served
+    served_aware = (
+        _cluster(services)
+        .serve_trace(trace, config=ServingConfig(faults=aware))
+        .goodput.served
+    )
     served_oblivious = (
-        _cluster(services).serve_trace(trace, faults=oblivious).goodput.served
+        _cluster(services)
+        .serve_trace(trace, config=ServingConfig(faults=oblivious))
+        .goodput.served
     )
     assert served_aware == len(trace)
     assert served_oblivious < served_aware
@@ -279,7 +335,9 @@ def test_locality_dispatch_avoids_dead_preferred_shard(services, engine):
         retry_budget=2,
         retry_backoff_seconds=0.005,
     )
-    report = _cluster(services, engine, **kwargs).serve_trace(trace, faults=faults)
+    report = _cluster(services, engine, **kwargs).serve_trace(
+        trace, config=ServingConfig(faults=faults)
+    )
     assert report.goodput.served == len(trace)  # nothing lost to the outage
     outage_starts = [
         (shard, start) for shard, start in starts(report) if start < recover
@@ -291,7 +349,7 @@ def test_locality_dispatch_avoids_dead_preferred_shard(services, engine):
     # Both engines make the same alive-filtered locality choices.
     other = _cluster(
         services, "reference" if engine == "fast" else "fast", **kwargs
-    ).serve_trace(trace, faults=faults)
+    ).serve_trace(trace, config=ServingConfig(faults=faults))
     assert _render(report) == _render(other)
 
 
@@ -423,10 +481,12 @@ def test_tenant_aware_scaling_serves_more_guaranteed_traffic(services):
         )
         return _cluster(services, engine=engine).serve_online(
             TraceArrivals(trace),
-            slo=slo,
-            admission=AdmissionController(policy=slo),
-            autoscaler=scaler,
-            faults=faults,
+            config=ServingConfig(
+                slo=slo,
+                controller=AdmissionController(policy=slo),
+                autoscaler=scaler,
+                faults=faults,
+            ),
         )
 
     tenant_aware = run("fast", 2.0)

@@ -152,7 +152,8 @@ def _faulted_report(services, engine: str = ENGINE_FAST):
     slo = SLOPolicy(default_slo_seconds=0.5)
     admission = AdmissionController(policy=slo)
     return cluster.serve_online(
-        TraceArrivals(trace), slo=slo, admission=admission, faults=faults
+        TraceArrivals(trace),
+        config=ServingConfig(slo=slo, controller=admission, faults=faults),
     )
 
 

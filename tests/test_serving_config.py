@@ -1,15 +1,11 @@
-"""The unified ``ServingConfig`` surface and its legacy-kwarg shim.
+"""The unified ``ServingConfig`` surface.
 
-Three contracts:
+Two contracts:
 
 1. *Validation*: a ``ServingConfig`` rejects contradictory field
    combinations at construction, and ``serve_trace`` rejects online-only
    features (admission, autoscaling) up front.
-2. *Shim equivalence*: the deprecated per-call keyword arguments still work,
-   emit ``DeprecationWarning``, and produce **byte-identical** reports to
-   the equivalent ``config=`` call — the mapped fields are the very objects
-   the old signature received.
-3. *Override hygiene*: per-run ``engine`` / ``tenant_weights`` overrides
+2. *Override hygiene*: per-run ``engine`` / ``tenant_weights`` overrides
    never leak into later runs on the same cluster.
 """
 
@@ -121,16 +117,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="serve_online"):
             cluster.serve_trace(trace, config=ServingConfig(slo=_slo(), admit=True))
 
-    def test_rejects_config_plus_legacy_kwargs(self, services):
-        cluster = _cluster(services)
-        trace = _trace(4)
-        with pytest.raises(ValueError, match="not both"):
-            cluster.serve_trace(trace, slo=_slo(), config=ServingConfig())
-        with pytest.raises(ValueError, match="not both"):
-            cluster.serve_online(
-                TraceArrivals(trace), slo=_slo(), config=ServingConfig()
-            )
-
     def test_resolved_controller_carries_knobs(self):
         config = ServingConfig(
             slo=_slo(),
@@ -156,57 +142,8 @@ class TestValidation:
         assert flipped.events == faults.events
 
 
-# ------------------------------------------------------------ shim identity
-class TestLegacyShim:
-    def test_legacy_kwargs_warn(self, services):
-        cluster = _cluster(services)
-        trace = _trace(6)
-        with pytest.warns(DeprecationWarning, match="serve_trace"):
-            cluster.serve_trace(trace, slo=_slo())
-        with pytest.warns(DeprecationWarning, match="serve_online"):
-            cluster.serve_online(TraceArrivals(trace), slo=_slo())
-
-    def test_config_path_does_not_warn(self, services, recwarn):
-        cluster = _cluster(services)
-        trace = _trace(6)
-        cluster.serve_trace(trace, config=ServingConfig(slo=_slo()))
-        cluster.serve_online(TraceArrivals(trace), config=ServingConfig(slo=_slo()))
-        assert not [w for w in recwarn if w.category is DeprecationWarning]
-
-    def test_offline_shim_byte_identical(self, services):
-        trace = _trace()
-        slo, faults = _slo(), _faults()
-        with pytest.warns(DeprecationWarning):
-            legacy = _cluster(services).serve_trace(trace, slo=slo, faults=faults)
-        config = _cluster(services).serve_trace(
-            trace, config=ServingConfig(slo=slo, faults=faults)
-        )
-        assert _render(legacy) == _render(config)
-
-    def test_online_shim_byte_identical(self, services):
-        trace = _trace()
-        slo, faults = _slo(), _faults()
-
-        def legacy():
-            cluster = _cluster(services)
-            with pytest.warns(DeprecationWarning):
-                return cluster.serve_online(
-                    TraceArrivals(trace),
-                    slo=slo,
-                    admission=AdmissionController(policy=slo),
-                    faults=faults,
-                )
-
-        def unified():
-            return _cluster(services).serve_online(
-                TraceArrivals(trace),
-                config=ServingConfig(
-                    controller=AdmissionController(policy=slo), faults=faults
-                ),
-            )
-
-        assert _render(legacy()) == _render(unified())
-
+# ---------------------------------------------------------------- resolution
+class TestAdmitShorthand:
     def test_admit_shorthand_equals_handbuilt_controller(self, services):
         trace = _trace()
         slo = _slo()
