@@ -8,7 +8,11 @@ subgraph reindexing.
 
 Cycle accounting is centralised in the ``*_cycle_count`` functions so the
 functional simulator and the analytic performance models charge identical
-costs for identical work (see DESIGN.md, "Timing model").
+costs for identical work (see DESIGN.md, "Timing model").  The functional
+fast paths do not model the host algorithms that compute their outputs: edge
+ordering, for one, returns the software pipeline's own
+:func:`repro.graph.convert.edge_order`, and only ``detailed`` kernels emulate
+the UPE datapath.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from repro.core.scr import SCR, Reindexer, Reshaper
 from repro.core.upe import CYCLES_PER_PARTITION_PASS, DEFAULT_RADIX_BITS, UPE
 from repro.graph.coo import COOGraph, VID_DTYPE
 from repro.graph.csc import CSCGraph
-from repro.graph.convert import build_pointer_array
+from repro.graph.convert import build_pointer_array, edge_order
 from repro.graph.reindex import (
     ReindexResult,
     interleave_endpoints,
@@ -238,25 +242,28 @@ class UPEKernel:
 
     # --------------------------------------------------------- edge ordering
     def edge_ordering(self, graph: COOGraph) -> Tuple[COOGraph, int]:
-        """Sort the COO edge array by (dst, src); returns (sorted graph, cycles)."""
+        """Sort the COO edge array by (dst, src); returns (sorted graph, cycles).
+
+        Cycles always come from :func:`ordering_cycle_count`.  The fast path
+        returns :func:`repro.graph.convert.edge_order`, the same routine the
+        software pipeline uses; the host sort it runs is not modelled.
+        ``detailed`` emulates the datapath instead: chunked UPE radix sorts
+        merged by :func:`repro.core.merge.upe_merge_sort`.
+        """
         cycles = ordering_cycle_count(
             graph.num_edges, graph.num_nodes, self.config, radix_bits=self.radix_bits
         )
-        if graph.num_edges == 0:
-            return graph.copy(), 0
+        if not self.detailed or graph.num_edges == 0:
+            return edge_order(graph), cycles
         keys = graph.concatenate_vids()
         key_bits = key_bits_for_nodes(graph.num_nodes)
-        if self.detailed:
-            w = self.config.upe_width
-            chunks = [keys[i : i + w] for i in range(0, keys.shape[0], w)]
-            sorted_chunks = [self.upe.radix_sort_chunk(c, key_bits)[0] for c in chunks]
-            merged, _ = upe_merge_sort(self.upe, sorted_chunks, key_bits)
-        else:
-            merged = np.sort(keys, kind="stable")
+        w = self.config.upe_width
+        chunks = [keys[i : i + w] for i in range(0, keys.shape[0], w)]
+        sorted_chunks = [self.upe.radix_sort_chunk(c, key_bits)[0] for c in chunks]
+        merged, _ = upe_merge_sort(self.upe, sorted_chunks, key_bits)
         src, dst = COOGraph.deconcatenate_vids(merged, graph.num_nodes)
         # A permutation of already-validated edges needs no range re-check.
-        ordered = graph.with_edges(src, dst, validate=False)
-        return ordered, cycles
+        return graph.with_edges(src, dst, validate=False), cycles
 
     # ------------------------------------------------------------- selection
     def unique_random_selection(

@@ -266,7 +266,7 @@ class UPE:
                 current = np.concatenate(buckets) if buckets else current
             sorted_keys = current
         else:
-            sorted_keys = np.sort(keys, kind="stable")
+            sorted_keys = np.sort(keys)
         self.cycles_consumed += cycles
         return sorted_keys, cycles
 

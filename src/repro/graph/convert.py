@@ -26,7 +26,8 @@ def edge_order(graph: COOGraph) -> COOGraph:
     equivalent to ``np.lexsort((src, dst))`` (destination occupies the high
     bits) and several times faster.
     """
-    keys = np.sort(graph.concatenate_vids())
+    keys = graph.concatenate_vids()
+    keys.sort()  # the keys are a fresh array, so sort them in place
     src, dst = COOGraph.deconcatenate_vids(keys, graph.num_nodes)
     # A permutation of already-validated edges needs no range re-check.
     return graph.with_edges(src, dst, validate=False)

@@ -126,17 +126,20 @@ class COOGraph:
         by source (Section V-A, Fig. 15).  Destination occupies the high bits.
         """
         shift = max(int(self.num_nodes).bit_length(), 1)
-        return (self.dst.astype(np.int64) << shift) | self.src.astype(np.int64)
+        # One fresh array: shift into it, then OR the sources in place.
+        keys = self.dst.astype(np.int64, copy=False) << shift
+        keys |= self.src
+        return keys
 
     @staticmethod
     def deconcatenate_vids(keys: np.ndarray, num_nodes: int) -> Tuple[np.ndarray, np.ndarray]:
-        """Inverse of :meth:`concatenate_vids`: split keys back into (src, dst)."""
+        """Inverse of :meth:`concatenate_vids`: split keys back into (src, dst).
+
+        Allocates only the two returned arrays; ``keys`` is left untouched.
+        """
         shift = max(int(num_nodes).bit_length(), 1)
-        mask = (1 << shift) - 1
-        keys = np.asarray(keys, dtype=np.int64)
-        src = keys & mask
-        dst = keys >> shift
-        return src.astype(VID_DTYPE, copy=False), dst.astype(VID_DTYPE, copy=False)
+        keys = np.asarray(keys, dtype=VID_DTYPE)
+        return keys & ((1 << shift) - 1), keys >> shift
 
     def with_edges(self, src: np.ndarray, dst: np.ndarray, validate: bool = True) -> "COOGraph":
         """Return a new graph with the same node count but different edges.
@@ -151,11 +154,21 @@ class COOGraph:
         )
 
     def add_edges(self, src: np.ndarray, dst: np.ndarray, num_nodes: Optional[int] = None) -> "COOGraph":
-        """Return a new graph with the given edges appended (caches not inherited)."""
+        """Return a new graph with the given edges appended (caches not inherited).
+
+        Only the appended edges are range-checked while ``num_nodes`` does not
+        shrink: the existing edges already fit a node count no larger.  A
+        shrinking ``num_nodes`` re-checks every edge.
+        """
         new_nodes = self.num_nodes if num_nodes is None else num_nodes
-        new_src = np.concatenate([self.src, np.asarray(src, dtype=VID_DTYPE)])
-        new_dst = np.concatenate([self.dst, np.asarray(dst, dtype=VID_DTYPE)])
-        return COOGraph(src=new_src, dst=new_dst, num_nodes=new_nodes, name=self.name)
+        added = COOGraph(src=src, dst=dst, num_nodes=new_nodes)
+        return COOGraph(
+            src=np.concatenate([self.src, added.src]),
+            dst=np.concatenate([self.dst, added.dst]),
+            num_nodes=new_nodes,
+            name=self.name,
+            validate_vids=new_nodes < self.num_nodes,
+        )
 
     def subgraph_edges(self, mask: np.ndarray) -> "COOGraph":
         """Return a new graph keeping only edges where ``mask`` is True."""

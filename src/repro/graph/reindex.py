@@ -108,7 +108,8 @@ def factorize_first_occurrence(
         code_lut[originals] = np.arange(originals.shape[0], dtype=np.int64)
         return code_lut[values], originals
     uniques, first_index, inverse = np.unique(values, return_index=True, return_inverse=True)
-    appearance = np.argsort(first_index, kind="stable")
+    # First-occurrence indices are distinct, so any sort orders them alike.
+    appearance = np.argsort(first_index)
     rank = np.empty(appearance.shape[0], dtype=np.int64)
     rank[appearance] = np.arange(appearance.shape[0], dtype=np.int64)
     return rank[inverse.ravel()], uniques[appearance]

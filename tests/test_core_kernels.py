@@ -17,6 +17,7 @@ from repro.core.kernels import (
     selection_cycle_count,
 )
 from repro.graph.convert import coo_to_csc, edge_order
+from repro.graph.coo import COOGraph
 from repro.graph.reindex import reindex_edges
 
 
@@ -72,15 +73,63 @@ class TestCycleFormulas:
         assert reindexing_cycle_estimate(10, 1000, config) == 40
 
 
+def _assert_exact_edge_order(ordered: COOGraph, graph: COOGraph) -> None:
+    """``ordered`` is ``graph`` sorted by (dst, src), element for element."""
+    reference = edge_order(graph)
+    lex = np.lexsort((graph.src, graph.dst))
+    assert np.array_equal(ordered.src, reference.src)
+    assert np.array_equal(ordered.dst, reference.dst)
+    assert np.array_equal(ordered.src, graph.src[lex])
+    assert np.array_equal(ordered.dst, graph.dst[lex])
+    assert ordered.num_nodes == graph.num_nodes
+
+
+def _random_graph(num_nodes: int, num_edges: int, seed: int) -> COOGraph:
+    """Random multigraph that always touches the largest VID."""
+    rng = np.random.default_rng(seed)
+    src = rng.integers(0, num_nodes, size=num_edges)
+    dst = rng.integers(0, num_nodes, size=num_edges)
+    src[0] = dst[-1] = num_nodes - 1
+    return COOGraph(src=src, dst=dst, num_nodes=num_nodes)
+
+
+#: Inputs of the exact edge-ordering checks: a multigraph with duplicate
+#: edges and self-loops, node counts at the key-shift boundaries (the shift
+#: is ``num_nodes.bit_length()``, which steps at every power of two) and the
+#: empty graph.
+EDGE_ORDERING_CASES = {
+    "multigraph": COOGraph(
+        src=np.array([3, 1, 3, 0, 2, 2, 3, 4, 1, 4, 0, 3]),
+        dst=np.array([2, 1, 2, 4, 2, 0, 2, 4, 1, 0, 4, 2]),
+        num_nodes=5,
+    ),
+    "nodes-1": COOGraph(src=np.zeros(7, dtype=int), dst=np.zeros(7, dtype=int), num_nodes=1),
+    **{
+        f"nodes-{n}": _random_graph(n, 97, seed=n)
+        for n in (2, 3, 4, 5, 31, 32, 33, 1023, 1024, 1025)
+    },
+    "empty": COOGraph(src=np.array([], dtype=int), dst=np.array([], dtype=int), num_nodes=4),
+    "empty-no-nodes": COOGraph(src=np.array([], dtype=int), dst=np.array([], dtype=int), num_nodes=0),
+}
+
+
 class TestUPEKernel:
     def test_edge_ordering_matches_reference(self, medium_graph, config):
         kernel = UPEKernel(config)
         ordered, cycles = kernel.edge_ordering(medium_graph)
-        reference = edge_order(medium_graph)
-        assert np.array_equal(ordered.dst, reference.dst)
-        assert np.array_equal(np.sort(ordered.src), np.sort(reference.src))
+        _assert_exact_edge_order(ordered, medium_graph)
         assert ordered.is_sorted()
         assert cycles == ordering_cycle_count(medium_graph.num_edges, medium_graph.num_nodes, config)
+
+    @pytest.mark.parametrize("detailed", [False, True], ids=["fast", "detailed"])
+    @pytest.mark.parametrize("case", sorted(EDGE_ORDERING_CASES))
+    def test_edge_ordering_exact(self, case, detailed, tiny_hardware):
+        graph = EDGE_ORDERING_CASES[case]
+        before = (graph.src.copy(), graph.dst.copy())
+        ordered, cycles = UPEKernel(tiny_hardware, detailed=detailed).edge_ordering(graph)
+        _assert_exact_edge_order(ordered, graph)
+        assert cycles == ordering_cycle_count(graph.num_edges, graph.num_nodes, tiny_hardware)
+        assert np.array_equal(graph.src, before[0]) and np.array_equal(graph.dst, before[1])
 
     def test_edge_ordering_detailed_matches_fast(self, small_graph, tiny_hardware):
         fast = UPEKernel(tiny_hardware, detailed=False)
@@ -91,8 +140,6 @@ class TestUPEKernel:
         assert cycles_fast == cycles_detailed
 
     def test_edge_ordering_empty(self, config):
-        from repro.graph.coo import COOGraph
-
         empty = COOGraph(src=np.array([], dtype=int), dst=np.array([], dtype=int), num_nodes=4)
         ordered, cycles = UPEKernel(config).edge_ordering(empty)
         assert ordered.num_edges == 0

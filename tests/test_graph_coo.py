@@ -94,6 +94,35 @@ class TestOperations:
         bigger = g.add_edges(np.array([4]), np.array([0]), num_nodes=5)
         assert bigger.num_nodes == 5
 
+    def test_add_edges_keeps_edge_order(self):
+        g = make_graph()
+        bigger = g.add_edges(np.array([3, 0]), np.array([3, 2]))
+        assert bigger.src.tolist() == [0, 2, 1, 3, 3, 0]
+        assert bigger.dst.tolist() == [1, 0, 1, 2, 3, 2]
+
+    @pytest.mark.parametrize(
+        "src, dst, num_nodes",
+        [([4], [0], None), ([0], [4], None), ([5], [0], 5), ([-1], [0], None), ([0], [-1], 5)],
+    )
+    def test_add_edges_rejects_bad_appended_vid(self, src, dst, num_nodes):
+        with pytest.raises(ValueError):
+            make_graph().add_edges(np.array(src), np.array(dst), num_nodes=num_nodes)
+
+    def test_add_edges_rejects_mismatched_lengths(self):
+        with pytest.raises(ValueError):
+            make_graph().add_edges(np.array([0, 1]), np.array([0]))
+
+    def test_add_edges_shrinking_nodes_checks_existing_edges(self):
+        # VID 3 is an existing edge endpoint; the appended edge alone fits.
+        with pytest.raises(ValueError):
+            make_graph().add_edges(np.array([0]), np.array([1]), num_nodes=3)
+
+    def test_add_edges_shrinking_nodes_allowed_when_edges_fit(self):
+        g = COOGraph(src=np.array([0, 1]), dst=np.array([1, 0]), num_nodes=6)
+        smaller = g.add_edges(np.array([2]), np.array([1]), num_nodes=3)
+        assert smaller.num_nodes == 3
+        assert smaller.num_edges == 3
+
     def test_subgraph_edges(self):
         g = make_graph()
         sub = g.subgraph_edges(np.array([True, False, True, False]))
@@ -116,6 +145,21 @@ class TestConcatenation:
         src, dst = COOGraph.deconcatenate_vids(keys, g.num_nodes)
         assert np.array_equal(src, g.src)
         assert np.array_equal(dst, g.dst)
+
+    def test_concatenate_leaves_edges_untouched(self):
+        g = make_graph()
+        keys = g.concatenate_vids()
+        keys[:] = 0
+        assert g.src.tolist() == [0, 2, 1, 3]
+        assert g.dst.tolist() == [1, 0, 1, 2]
+
+    def test_deconcatenate_leaves_keys_untouched(self):
+        g = make_graph()
+        keys = g.concatenate_vids()
+        before = keys.copy()
+        src, dst = COOGraph.deconcatenate_vids(keys, g.num_nodes)
+        assert np.array_equal(keys, before)
+        assert not np.shares_memory(src, keys) and not np.shares_memory(dst, keys)
 
     def test_sort_order_is_dst_major(self):
         g = make_graph()
