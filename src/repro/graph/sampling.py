@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 from typing import List, Sequence, Tuple
 
 import numpy as np
+from numpy.random import default_rng
 
 from repro.graph.coo import COOGraph, VID_DTYPE
 from repro.graph.csc import CSCGraph
@@ -117,14 +118,21 @@ class SampledSubgraph:
 # ---------------------------------------------------------------------------
 # The shared priority-draw rule
 # ---------------------------------------------------------------------------
+def _check_k(k: int) -> None:
+    """Reject a negative per-node (or per-layer) sample size."""
+    if k < 0:
+        raise ValueError(f"k must be non-negative, got {k}")
+
+
 def draw_k_smallest(candidates: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     """Select ``k`` of the ``candidates`` by priority draw; ascending output.
 
     ``candidates`` must be unique and ascending.  When the set already fits in
     ``k`` it is returned whole without consuming the RNG; otherwise one
-    priority per candidate is drawn and the ``k`` smallest win (the random
-    64-bit priorities are almost surely distinct, so the winning set does not
-    depend on the sort algorithm).
+    priority per candidate is drawn and the ``k`` smallest win.  Priorities
+    are 53-bit doubles (multiples of 2**-53), so ties are rare but possible;
+    a tie at the ``k``-th place is broken by ``np.argsort``'s order, which
+    the vectorized path reproduces by evaluating this same expression.
     """
     candidates = np.asarray(candidates, dtype=VID_DTYPE)
     if candidates.shape[0] <= k:
@@ -186,86 +194,123 @@ def _vid_shift(num_nodes: int) -> int:
 
 def _unique_per_segment(
     flat: np.ndarray, offsets: np.ndarray, num_nodes: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Deduplicate each segment of a concatenated neighbour gather.
 
-    Returns ``(values, segments, unique_degrees)``: the per-segment unique
-    values in (segment-major, ascending-value) order, the segment id of each
-    value, and the unique-degree of every segment.  Values and segment ids
-    are packed into single 64-bit keys so one single-key sort (much faster
-    than a two-key lexsort) orders and deduplicates everything at once.
+    Returns ``(values, unique_degrees)``: the per-segment unique values in
+    (segment-major, ascending-value) order and the unique-degree of every
+    segment.  On ascending segments one run pass suffices: an entry is kept
+    when it starts its segment or differs from its predecessor.  CSCs built
+    by the pipeline store each neighbour list ascending; any other input is
+    first sorted per segment with one packed ``(segment, value)`` key sort.
     """
     num_segments = int(offsets.shape[0] - 1)
-    degs = np.diff(offsets)
     if flat.shape[0] == 0:
-        return (
-            np.empty(0, dtype=VID_DTYPE),
-            np.empty(0, dtype=np.int64),
-            np.zeros(num_segments, dtype=np.int64),
-        )
-    shift = _vid_shift(num_nodes)
-    seg = np.repeat(np.arange(num_segments, dtype=np.int64), degs)
-    keys = (seg << shift) | flat.astype(np.int64, copy=False)
-    # CSCs built by the pipeline store each neighbour list ascending, making
-    # the packed keys already sorted; only sort when they are not.
-    if keys.shape[0] > 1 and not bool((keys[1:] >= keys[:-1]).all()):
-        keys = np.sort(keys)
-    keep = np.ones(keys.shape[0], dtype=bool)
-    keep[1:] = keys[1:] != keys[:-1]
-    unique_keys = keys[keep]
-    values = (unique_keys & ((1 << shift) - 1)).astype(VID_DTYPE)
-    segments = unique_keys >> shift
-    unique_degrees = np.bincount(segments, minlength=num_segments)
-    return values, segments, unique_degrees
+        return np.empty(0, dtype=VID_DTYPE), np.zeros(num_segments, dtype=np.int64)
+    degs = np.diff(offsets)
+    starts = offsets[:-1][degs > 0]
+    # The first non-empty segment starts at 0; the later starts are the
+    # positions where a descent between neighbouring entries is allowed.
+    descents = flat[1:] < flat[:-1]
+    descents[starts[1:] - 1] = False
+    if descents.any():
+        shift = _vid_shift(num_nodes)
+        seg = np.repeat(np.arange(num_segments, dtype=np.int64), degs)
+        flat = np.sort((seg << shift) | flat) & ((1 << shift) - 1)
+    keep = np.empty(flat.shape[0], dtype=bool)
+    keep[0] = True
+    np.not_equal(flat[1:], flat[:-1], out=keep[1:])
+    keep[starts] = True
+    # Positions, not boolean masks: index gathers and a binary search over
+    # the kept positions are several times faster than masked gathers and a
+    # cumulative sum of the mask.
+    kept = np.flatnonzero(keep)
+    unique_degrees = np.diff(np.searchsorted(kept, offsets))
+    return flat[kept].astype(VID_DTYPE, copy=False), unique_degrees
+
+
+#: ``Generator.random`` returns multiples of 2**-53, so scaling by 2**53 maps
+#: every priority exactly onto a 53-bit integer with the same order.
+_PRIORITY_BITS = 53
+#: Oversized segments per threshold sort: a block-local segment id of at most
+#: 10 bits packs above a 53-bit priority without leaving int64.
+_THRESHOLD_BLOCK = 1024
+
+
+def _k_smallest_mask(degrees: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw one priority per entry and mark each segment's ``k`` smallest.
+
+    ``degrees`` are the sizes of consecutive segments, each larger than
+    ``k``.  The flat draw consumes the RNG exactly like one
+    :func:`draw_k_smallest` call per segment in order.  Each segment's
+    ``k``-th smallest priority is read from one sort per block of segments,
+    and an entry wins when its priority is at most its segment's threshold.
+    A segment with a priority tie at its threshold has more than ``k`` such
+    entries; only those segments are re-selected with the reference
+    expression ``np.argsort(p)[:k]``, so ties resolve identically too.
+    """
+    bounds = np.zeros(degrees.shape[0] + 1, dtype=np.int64)
+    np.cumsum(degrees, out=bounds[1:])
+    scaled = rng.random(int(bounds[-1]))
+    won = np.zeros(scaled.shape[0], dtype=bool)
+    if k == 0:
+        return won
+    # In place: a fresh temporary of this size costs more in page faults
+    # than the multiply itself.  ``scaled * 2**-53`` recovers each priority.
+    np.multiply(scaled, float(1 << _PRIORITY_BITS), out=scaled)
+    keys = scaled.astype(np.int64)
+    for lo in range(0, degrees.shape[0], _THRESHOLD_BLOCK):
+        hi = min(lo + _THRESHOLD_BLOCK, degrees.shape[0])
+        begin, end = int(bounds[lo]), int(bounds[hi])
+        block_degrees = degrees[lo:hi]
+        block = keys[begin:end]
+        block |= np.repeat(np.arange(hi - lo, dtype=np.int64) << _PRIORITY_BITS, block_degrees)
+        ordered = np.sort(block)
+        kth = bounds[lo:hi] - begin + (k - 1)
+        thresholds = ordered[kth]
+        np.less_equal(block, np.repeat(thresholds, block_degrees), out=won[begin:end])
+        # Every segment holds more than k entries, so kth + 1 stays inside it.
+        for tied in np.flatnonzero(ordered[kth + 1] == thresholds).tolist():
+            first, last = int(bounds[lo + tied]), int(bounds[lo + tied + 1])
+            priorities = scaled[first:last] * 2.0**-_PRIORITY_BITS
+            won[first:last] = False
+            won[first + np.argsort(priorities)[:k]] = True
+    return won
 
 
 def _node_layer_vectorized(
-    graph: CSCGraph, frontier: np.ndarray, k: int, rng: np.random.Generator
+    values: np.ndarray,
+    unique_degrees: np.ndarray,
+    frontier: np.ndarray,
+    k: int,
+    rng: np.random.Generator,
 ) -> Tuple[np.ndarray, np.ndarray, int, int]:
-    """One node-wise hop over the whole frontier with array arithmetic.
+    """One node-wise hop over a deduplicated frontier neighbourhood.
 
-    Bit-identical to :func:`_node_layer_reference`: uniques per frontier node
-    are enumerated in the same (node-major, ascending) order, priorities are
-    drawn from the same RNG stream, and stable sorting reproduces the same
-    tie-breaking.
+    ``values``/``unique_degrees`` come from :func:`_unique_per_segment` over
+    the frontier's gather.  Bit-identical to :func:`_node_layer_reference`:
+    uniques per frontier node are enumerated in the same (node-major,
+    ascending) order, priorities are drawn from the same RNG stream, and the
+    winners are each node's ``k`` smallest priorities, ties resolved by the
+    reference's own ``argsort`` (see :func:`_k_smallest_mask`).
     """
-    flat, offsets = graph.in_neighbors_batch(frontier)
-    values, segments, unique_degrees = _unique_per_segment(flat, offsets, graph.num_nodes)
-    arrays = int((unique_degrees > 0).sum())
-    draws = int(np.minimum(unique_degrees, k).sum())
-    if values.shape[0] == 0:
-        return np.empty(0, dtype=VID_DTYPE), np.empty(0, dtype=VID_DTYPE), arrays, draws
-
+    taken = np.minimum(unique_degrees, k)
+    arrays = int(np.count_nonzero(unique_degrees))
+    draws = int(taken.sum())
     oversized = unique_degrees > k
-    needs_draw = oversized[segments]
-    draw_positions = np.flatnonzero(needs_draw)
-    # One flat priority draw covers every oversized segment, assigned in the
-    # same (node-major, ascending-candidate) order the reference loop uses;
-    # segments that fit in k are taken whole and never touch the RNG.
-    num_draw_entries = draw_positions.shape[0]
-    priorities = rng.random(num_draw_entries)
-    draw_seg = segments[draw_positions]
-    # Order candidates by (segment, priority) without a slow two-key float
-    # lexsort: rank the priorities globally (they are almost surely distinct)
-    # and pack segment + rank into one integer key.
-    order = np.argsort(priorities)
-    ranks = np.empty(num_draw_entries, dtype=np.int64)
-    ranks[order] = np.arange(num_draw_entries, dtype=np.int64)
-    rank_shift = max(int(num_draw_entries).bit_length(), 1)
-    keys = np.sort((draw_seg << rank_shift) | ranks)
-    grouped = keys >> rank_shift
-    is_start = np.ones(grouped.shape[0], dtype=bool)
-    is_start[1:] = grouped[1:] != grouped[:-1]
-    start_of = np.maximum.accumulate(np.where(is_start, np.arange(grouped.shape[0]), 0))
-    in_first_k = (np.arange(grouped.shape[0]) - start_of) < k
-    winners = order[(keys & ((1 << rank_shift) - 1))[in_first_k]]
-
-    # values/segments are already (node-major, ascending-source); flipping the
-    # winners back on in a selection mask emits in that order with no sort.
-    selected = ~needs_draw
-    selected[draw_positions[winners]] = True
-    src = values[selected]
-    dst = frontier[segments[selected]].astype(VID_DTYPE, copy=False)
+    # Segments that fit in k are taken whole and never touch the RNG; the
+    # winners keep the (node-major, ascending-source) order with no sort.
+    if oversized.any():
+        needs_draw = np.repeat(oversized, unique_degrees)
+        selected = ~needs_draw
+        selected[np.flatnonzero(needs_draw)] = _k_smallest_mask(
+            unique_degrees[oversized], k, rng
+        )
+        src = values[np.flatnonzero(selected)]
+    else:
+        # A reused neighbourhood must not alias an earlier layer's edges.
+        src = values.copy()
+    dst = np.repeat(frontier, taken).astype(VID_DTYPE, copy=False)
     return src, dst, arrays, draws
 
 
@@ -299,16 +344,26 @@ def node_wise_sample_with_stats(
 ) -> Tuple[SampledSubgraph, SelectionStats]:
     """Node-wise sampling plus the work counters the UPE kernel charges for."""
     check_mode(mode)
-    rng = np.random.default_rng(seed)
+    _check_k(k)
+    rng = default_rng(seed)
     batch = np.asarray(list(batch_nodes), dtype=VID_DTYPE)
     frontier = _sorted_unique(batch, graph.num_nodes)
     layers: List[COOGraph] = []
     touched: List[np.ndarray] = [frontier]
     stats = SelectionStats()
-    layer_fn = _node_layer_reference if mode == MODE_REFERENCE else _node_layer_vectorized
+    neighbourhood_of = neighbourhood = None
 
     for _ in range(num_layers):
-        src, dst, arrays, draws = layer_fn(graph, frontier, k, rng)
+        if mode == MODE_REFERENCE:
+            src, dst, arrays, draws = _node_layer_reference(graph, frontier, k, rng)
+        else:
+            # A saturated frontier repeats from hop to hop; its deduplicated
+            # neighbourhood is gathered once per call.
+            if neighbourhood_of is None or not np.array_equal(frontier, neighbourhood_of):
+                flat, offsets = graph.in_neighbors_batch(frontier)
+                neighbourhood = _unique_per_segment(flat, offsets, graph.num_nodes)
+                neighbourhood_of = frontier
+            src, dst, arrays, draws = _node_layer_vectorized(*neighbourhood, frontier, k, rng)
         stats.arrays += arrays
         stats.draws += draws
         layers.append(COOGraph(src=src, dst=dst, num_nodes=graph.num_nodes, validate_vids=False))
@@ -363,7 +418,8 @@ def layer_wise_sample(
     source, identically in both execution modes.
     """
     check_mode(mode)
-    rng = np.random.default_rng(seed)
+    _check_k(k)
+    rng = default_rng(seed)
     batch = np.asarray(list(batch_nodes), dtype=VID_DTYPE)
     frontier = _sorted_unique(batch, graph.num_nodes)
     layers: List[COOGraph] = []
@@ -382,8 +438,8 @@ def layer_wise_sample(
             dsts = np.array(cand_dst, dtype=VID_DTYPE)
         else:
             flat, offsets = graph.in_neighbors_batch(frontier)
-            values, segments, _ = _unique_per_segment(flat, offsets, graph.num_nodes)
-            dsts = frontier[segments] if segments.size else np.empty(0, dtype=VID_DTYPE)
+            values, unique_degrees = _unique_per_segment(flat, offsets, graph.num_nodes)
+            dsts = np.repeat(frontier, unique_degrees)
         if values.size == 0:
             break
         pool = _sorted_unique(values, graph.num_nodes)

@@ -203,17 +203,20 @@ class GNNService:
     def replicate(self) -> "GNNService":
         """A fresh service over a replicated preprocessing system.
 
-        The replica shares the stateless inference-latency model but gets
-        its own preprocessing-system instance (per-shard bitstream/LUT
-        state) and inherits this service's power platform and execution
-        mode.  The sharded serving cluster builds one replica per shard.
+        The replica shares the stateless inference-latency model and its
+        latency memo (same model, same key, same values) but gets its own
+        preprocessing-system instance (per-shard bitstream/LUT state) and
+        inherits this service's power platform and execution mode.  The
+        sharded serving cluster builds one replica per shard.
         """
-        return GNNService(
+        replica = GNNService(
             self.preprocessing.replicate(),
             inference=self.inference,
             power_platform=self.power.preprocessing_platform,
             mode=self.mode,
         )
+        replica._inference_cache = self._inference_cache
+        return replica
 
     # ------------------------------------------------------- functional path
     def preprocess_functional(

@@ -11,6 +11,7 @@ import pytest
 from conftest import make_profile as profile, zero_gap_trace
 
 from repro.analysis.metrics import LatencyStats, percentile
+from repro.gnn.inference import InferenceLatencyModel
 from repro.serving import (
     BatchScheduler,
     ClosedLoopArrivals,
@@ -342,3 +343,20 @@ class TestServeManyContract:
         assert replica.preprocessing is not services["DynPre"].preprocessing
         assert replica.mode == services["DynPre"].mode
         assert replica.power.preprocessing_platform == "fpga"
+
+    def test_replicas_share_the_inference_memo(self, monkeypatch, small_trace):
+        template = GNNService(build_reference_systems()["DynPre"])
+        warm = ShardedServiceCluster(template, num_shards=2).serve_trace(small_trace)
+        priced = []
+        original = InferenceLatencyModel.latency_from_counts
+
+        def counting(model, *args, **kwargs):
+            priced.append(kwargs)
+            return original(model, *args, **kwargs)
+
+        monkeypatch.setattr(InferenceLatencyModel, "latency_from_counts", counting)
+        fresh = ShardedServiceCluster(template, num_shards=2).serve_trace(small_trace)
+        assert priced == []
+        assert json.dumps(fresh.as_dict(), sort_keys=True) == json.dumps(
+            warm.as_dict(), sort_keys=True
+        )

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.accelerator import AutoGNNDevice
 from repro.core.config import HardwareConfig
@@ -19,8 +21,10 @@ from repro.core.kernels import (
     reindexing_cycle_count,
     reshaping_cycle_count,
 )
+from repro.graph import sampling
 from repro.graph.convert import coo_to_csc, edge_order
-from repro.graph.coo import VID_DTYPE
+from repro.graph.coo import COOGraph, VID_DTYPE
+from repro.graph.csc import CSCGraph
 from repro.graph.generators import GraphSpec, power_law_graph
 from repro.graph.reindex import (
     factorize_first_occurrence,
@@ -32,6 +36,7 @@ from repro.graph.sampling import (
     MODE_REFERENCE,
     MODE_VECTORIZED,
     SampledSubgraph,
+    _unique_per_segment,
     layer_wise_sample,
     node_wise_sample,
     node_wise_sample_with_stats,
@@ -141,6 +146,123 @@ class TestSamplerEquivalence:
     def test_unknown_mode_rejected(self, csc):
         with pytest.raises(ValueError):
             node_wise_sample(csc, [0], k=2, num_layers=1, mode="bogus")
+
+
+class _CoarsePriorities:
+    """A generator whose priorities take eight values, so ties are common.
+
+    ``random(n)`` is still an elementwise function of one PCG64 stream, so
+    both execution modes see the same priorities in the same order.
+    """
+
+    def __init__(self, seed):
+        self._inner = np.random.default_rng(seed)
+
+    def random(self, size):
+        return np.floor(self._inner.random(size) * 8) / 8
+
+
+def _shuffled_csc(csc: CSCGraph, seed: int) -> CSCGraph:
+    """The same graph with every neighbour list in a random order."""
+    rng = np.random.default_rng(seed)
+    indices = csc.indices.copy()
+    for node in range(csc.num_nodes):
+        start, end = int(csc.indptr[node]), int(csc.indptr[node + 1])
+        indices[start:end] = rng.permutation(indices[start:end])
+    return CSCGraph(indptr=csc.indptr, indices=indices, num_nodes=csc.num_nodes)
+
+
+@st.composite
+def multigraphs(draw):
+    """Small multigraphs with duplicate edges, self-loops and an isolated node."""
+    num_nodes = draw(st.integers(1, 10))
+    vids = st.integers(0, num_nodes - 1)
+    pairs = draw(st.lists(st.tuples(vids, vids), max_size=60))
+    pairs += [pairs[0]] if pairs else []  # a duplicate edge
+    loop = draw(vids)
+    pairs.append((loop, loop))
+    src, dst = (np.array(side, dtype=VID_DTYPE) for side in zip(*pairs))
+    # Node ``num_nodes`` has no edges: a zero-degree frontier node.
+    return COOGraph(src=src, dst=dst, num_nodes=num_nodes + 1)
+
+
+class TestUniqueSelectionFastPath:
+    @pytest.mark.parametrize("seed", [0, 1, 7, 42])
+    def test_priorities_are_exact_53_bit_integers(self, seed):
+        # The vectorized selection compares priorities as exact integers;
+        # a change in Generator.random's resolution must fail here loudly.
+        priorities = np.random.default_rng(seed).random(10_000)
+        scaled = (priorities * 2**53).astype(np.int64)
+        assert np.all(scaled * 2**-53 == priorities)
+        assert np.all(scaled < 2**53)
+
+    @pytest.mark.parametrize("seed", [0, 1, 5, 9, 23])
+    def test_priority_ties_match_reference(self, csc, monkeypatch, seed):
+        monkeypatch.setattr(sampling, "default_rng", _CoarsePriorities)
+        k = 3
+        batch = list(range(0, 120, 2))
+        # Most frontier nodes must hold more than k unique neighbours.
+        unique_degrees = [np.unique(csc.in_neighbors(v)).size for v in batch]
+        assert np.mean(np.array(unique_degrees) > k) > 0.5
+        ref = node_wise_sample(csc, batch, k=k, num_layers=3, seed=seed, mode=MODE_REFERENCE)
+        vec = node_wise_sample(csc, batch, k=k, num_layers=3, seed=seed, mode=MODE_VECTORIZED)
+        assert_samples_equal(ref, vec)
+
+    def test_saturated_frontier_is_gathered_once(self, monkeypatch):
+        nodes = np.arange(6, dtype=VID_DTYPE)
+        src, dst = (side.ravel() for side in np.meshgrid(nodes, nodes))
+        complete = coo_to_csc(COOGraph(src=src, dst=dst, num_nodes=6))
+        gathers = []
+        original = CSCGraph.in_neighbors_batch
+
+        def counting(graph, frontier):
+            gathers.append(frontier.copy())
+            return original(graph, frontier)
+
+        monkeypatch.setattr(CSCGraph, "in_neighbors_batch", counting)
+        vec = node_wise_sample(complete, [0, 3], k=6, num_layers=4, seed=1)
+        assert len(gathers) == 2  # the batch, then the whole graph three times
+        ref = node_wise_sample(complete, [0, 3], k=6, num_layers=4, seed=1,
+                               mode=MODE_REFERENCE)
+        assert_samples_equal(ref, vec)
+
+    def test_negative_k_rejected(self, csc):
+        with pytest.raises(ValueError):
+            node_wise_sample(csc, [0], k=-1, num_layers=1)
+        with pytest.raises(ValueError):
+            layer_wise_sample(csc, [0], k=-1, num_layers=1)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        graph=multigraphs(),
+        data=st.data(),
+        shuffle_seed=st.integers(0, 2**16),
+        seed=st.integers(0, 2**16),
+        num_layers=st.integers(1, 3),
+    )
+    def test_dedupe_and_samplers_match_reference(
+        self, graph, data, shuffle_seed, seed, num_layers
+    ):
+        ascending = coo_to_csc(graph)
+        max_degree = int(ascending.in_degrees().max())
+        k = data.draw(st.sampled_from([0, 1, 2, max_degree, max_degree + 1]), label="k")
+        batch = data.draw(
+            st.lists(st.integers(0, graph.num_nodes - 1), max_size=8), label="batch"
+        )
+        frontier = np.array(batch, dtype=VID_DTYPE)
+        for csc in (ascending, _shuffled_csc(ascending, shuffle_seed)):
+            flat, offsets = csc.in_neighbors_batch(frontier)
+            values, unique_degrees = _unique_per_segment(flat, offsets, csc.num_nodes)
+            oracle = [np.unique(flat[offsets[i] : offsets[i + 1]]) for i in range(len(batch))]
+            assert unique_degrees.tolist() == [u.size for u in oracle]
+            expected = np.concatenate(oracle) if oracle else np.empty(0, dtype=VID_DTYPE)
+            assert np.array_equal(values, expected)
+            for sampler in (node_wise_sample, layer_wise_sample):
+                ref = sampler(csc, batch, k=k, num_layers=num_layers, seed=seed,
+                              mode=MODE_REFERENCE)
+                vec = sampler(csc, batch, k=k, num_layers=num_layers, seed=seed,
+                              mode=MODE_VECTORIZED)
+                assert_samples_equal(ref, vec)
 
 
 class TestReindexEquivalence:
