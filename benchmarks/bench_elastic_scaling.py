@@ -26,27 +26,19 @@ only ``Autoscaler(drain=...)`` differs:
 The acceptance gates — drain-aware goodput >= MIN_GOODPUT_RATIO x
 drain-less goodput AND drain-less shard-seconds >= MIN_SHARD_SECONDS_RATIO
 x drain-aware shard-seconds (drain must win on BOTH axes: more requests
-inside their SLO *and* fewer provisioned shard-seconds) — are enforced by
-the exit code and the pytest-benchmark entry, so CI fails if voluntary
-drains regress.
+inside their SLO *and* fewer provisioned shard-seconds) — are rows of
+``GATES``, so the exit code, the pytest-benchmark entry and the CI gate
+step all fail if voluntary drains regress.
 
 Results are written to ``BENCH_elastic_scaling.json`` at the repo root.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
-import time
-from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-_SRC = REPO_ROOT / "src"
-if str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
-
+from common import REPO_ROOT, Gate, bench_main, bench_test, goodput_summary
 from repro.serving import (
     Autoscaler,
     BatchScheduler,
@@ -100,6 +92,15 @@ HYSTERESIS = 2
 MIN_GOODPUT_RATIO = 1.05
 MIN_SHARD_SECONDS_RATIO = 1.02
 
+GATES = (
+    Gate("goodput_ratio", floor=MIN_GOODPUT_RATIO,
+         require=("drain_aware.conserved", "drain_less.conserved")),
+    Gate("shard_seconds_ratio", floor=MIN_SHARD_SECONDS_RATIO),
+    # A drained run that migrates nothing at scale-down means
+    # drain-and-migrate was quietly disabled.
+    Gate("drain_aware.migrated", floor=1, relative=False),
+)
+
 
 def _profile():
     """A workload whose locality home (at 2 active shards) is shard 1."""
@@ -137,14 +138,7 @@ def _entry(report) -> Dict:
     goodput = report.goodput
     scale_downs = [e for e in report.scaling_timeline if e.reason == "scale-down"]
     return {
-        "system": report.system,
-        "num_shards": report.num_shards,
-        "offered": goodput.offered,
-        "served": goodput.served,
-        "shed": goodput.shed,
-        "failed": goodput.failed,
-        "goodput_rps": round(goodput.goodput_rps, 3),
-        "slo_attainment": round(goodput.slo_attainment, 4),
+        **goodput_summary(report),
         "shard_seconds": round(report.shard_seconds, 6),
         "scale_downs": len(scale_downs),
         "migrated": sum(e.migrated for e in report.scaling_timeline),
@@ -155,8 +149,7 @@ def _entry(report) -> Dict:
 
 
 def run(quick: bool = False) -> Dict:
-    """Execute the benchmark and return (and persist) the result document."""
-    started = time.perf_counter()
+    """Execute the benchmark and return the result document."""
     services = build_services()
     template = services["CPU"]
     profile = _profile()
@@ -207,13 +200,8 @@ def run(quick: bool = False) -> Dict:
     shard_seconds_ratio = drainless_entry["shard_seconds"] / max(
         drained_entry["shard_seconds"], 1e-9
     )
-    print(
-        f"\ndrain-aware goodput {goodput_ratio:.2f}x drain-less "
-        f"(gate >= {MIN_GOODPUT_RATIO:.2f}x) | drain-less shard-seconds "
-        f"{shard_seconds_ratio:.2f}x drain-aware (gate >= {MIN_SHARD_SECONDS_RATIO:.2f}x)"
-    )
 
-    document = {
+    return {
         "benchmark": "elastic_scaling",
         "_provenance": (
             "simulated metrics from ShardedServiceCluster.serve_online (engine-"
@@ -246,53 +234,13 @@ def run(quick: bool = False) -> Dict:
         "min_goodput_ratio": MIN_GOODPUT_RATIO,
         "shard_seconds_ratio": round(shard_seconds_ratio, 3),
         "min_shard_seconds_ratio": MIN_SHARD_SECONDS_RATIO,
-        "wall_clock_seconds": round(time.perf_counter() - started, 4),
     }
-    RESULT_PATH.write_text(json.dumps(document, indent=2) + "\n")
-    print(f"\nresults written to {RESULT_PATH}")
-    return document
 
 
 def test_elastic_scaling(benchmark):
     """Pytest-benchmark entry point with the drain acceptance gates."""
-    from common import run_once
-
-    document = run_once(benchmark, lambda: run(quick=True))
-    assert document["goodput_ratio"] >= MIN_GOODPUT_RATIO
-    assert document["shard_seconds_ratio"] >= MIN_SHARD_SECONDS_RATIO
-    assert document["drain_aware"]["conserved"]
-    assert document["drain_less"]["conserved"]
-    assert document["drain_aware"]["migrated"] > 0
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="fewer flash-crowd cycles (CI mode)",
-    )
-    args = parser.parse_args(argv)
-    document = run(quick=args.quick)
-    failures = []
-    if document["goodput_ratio"] < document["min_goodput_ratio"]:
-        failures.append(
-            f"goodput ratio {document['goodput_ratio']:.3f}x < "
-            f"{MIN_GOODPUT_RATIO:.2f}x"
-        )
-    if document["shard_seconds_ratio"] < document["min_shard_seconds_ratio"]:
-        failures.append(
-            f"shard-seconds ratio {document['shard_seconds_ratio']:.3f}x < "
-            f"{MIN_SHARD_SECONDS_RATIO:.2f}x"
-        )
-    for label in ("drain_aware", "drain_less"):
-        if not document[label]["conserved"]:
-            failures.append(f"{label} run broke conservation")
-    if failures:
-        for failure in failures:
-            print(f"ELASTIC-SCALING REGRESSION: {failure}", file=sys.stderr)
-        return 1
-    return 0
+    bench_test(benchmark, sys.modules[__name__])
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(bench_main(sys.modules[__name__], "fewer flash-crowd cycles (CI mode)"))

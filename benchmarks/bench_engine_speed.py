@@ -12,57 +12,53 @@ array-native *chunked* loop ``serve_trace`` selects by default — so each
 gated scale times three runs: reference, per-event fast (``chunked=False``)
 and chunked fast.  All three reports are asserted byte-identical.
 
-Acceptance gates, enforced by the exit code and the pytest-benchmark entry:
-fast (chunked) >= 5x reference at 20k requests (quick mode: 5k, >= 3x), and
-chunked >= its per-scale floor over the per-event fast loop.  A
-fast-engine-only 100k-request point (the "interactive speed" headline; the
-reference would take minutes there) is recorded without a gate, and the
-full run adds a **1M-request fast-only tier**: chunked vs per-event, gated
-at >= 3x with byte-identical reports (the scale the array-native loop
-exists for).
+Acceptance gates (``GATES``, checked by every run): fast (chunked) >= 5x
+reference at 20k requests (quick mode: 5k, >= 3x), and chunked >= its
+per-scale floor over the per-event fast loop.  A fast-engine-only
+100k-request point (the "interactive speed" headline; the reference would
+take minutes there) is recorded without a gate, and the full run adds a
+**1M-request fast-only tier**: chunked vs per-event, gated at >= 3x with
+byte-identical reports (the scale the array-native loop exists for).
 
 Results are written to ``BENCH_engine_speed.json`` at the repo root;
 ``benchmarks/check_perf_regression.py`` compares fresh runs against the
-committed copy (speedup floor + machine-normalized wall-clock check).
+committed copy (relative speedup floors + machine-normalized wall-clock
+budgets; ``--engine-million`` adds the 1M tier).
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
-from pathlib import Path
 from typing import Dict, List, Optional
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-_SRC = REPO_ROOT / "src"
-if str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
-
+from common import (
+    MAX_BATCH_SIZE,
+    MAX_WAIT_SECONDS,
+    REPO_ROOT,
+    TABLE2_DATASETS,
+    Gate,
+    bench_main,
+    bench_test,
+    scheduler,
+    table2_mix,
+)
 from repro.serving import (
-    BatchScheduler,
     ENGINE_FAST,
     ENGINE_REFERENCE,
     OpenLoopArrivals,
     POLICY_LEAST_LOADED,
     ShardedServiceCluster,
 )
+from repro.serving.engine import serve_trace_fast
 from repro.system.service import build_services
-from repro.system.workload import WorkloadProfile
 
 #: Output path of the machine-readable results (repo root, tracked by PRs).
 RESULT_PATH = REPO_ROOT / "BENCH_engine_speed.json"
 
-#: Workload mix of the trace (same Table II mix as the other serving benches).
-TRACE_DATASETS = ("PH", "AX", "MV")
-
 #: Offered load of the open-loop trace (requests/second).
 OFFERED_RATE_RPS = 500.0
-
-#: Scheduler settings shared by both engines.
-MAX_BATCH_SIZE = 4
-MAX_WAIT_SECONDS = 0.005
 
 #: Shard count of both clusters.
 NUM_SHARDS = 4
@@ -86,17 +82,33 @@ MILLION_WALL_BUDGET_SECONDS = 60.0
 
 SEED = 1
 
+#: Machine normalizers: the reference engine runs the identical simulation
+#: on both machines, so fresh/committed reference seconds is the machine
+#: factor of a gated scale.  The 1M tier has no reference run; there the
+#: per-event fast loop is the identical simulation and normalizes instead.
+GATES = (
+    Gate("speedup", per="scale", floor={n: s for n, s, _ in GATED_SCALES}),
+    # A silent fallback to the per-event loop would still pass the
+    # fast-vs-reference gate; this floor catches it.
+    Gate("chunked_speedup", per="scale", floor={n: c for n, _, c in GATED_SCALES}),
+    Gate("fast_seconds", per="scale", normalizer="reference_seconds"),
+    Gate("million.chunked_speedup", floor=MIN_MILLION_SPEEDUP),
+    Gate("million.chunked_seconds", normalizer="million.event_seconds",
+         ceiling=MILLION_WALL_BUDGET_SECONDS),
+)
+
 PROVENANCE = (
-    "wall-clock seconds measured around ShardedServiceCluster.serve_trace on "
-    "this machine; simulated metrics are engine-independent (byte-identical "
-    "reports, asserted before timing). Regenerate with "
-    "`python benchmarks/bench_engine_speed.py`."
+    "per-run seconds measured around ShardedServiceCluster.serve_trace on "
+    "this machine (wall_clock_seconds is the whole script); simulated "
+    "metrics are engine-independent (byte-identical reports, asserted "
+    "before timing). Regenerate with `python benchmarks/bench_engine_speed.py`."
 )
 
 
 def _trace(num_requests: int):
-    mix = [WorkloadProfile.from_dataset(key) for key in TRACE_DATASETS]
-    trace = OpenLoopArrivals(mix, rate_rps=OFFERED_RATE_RPS, seed=SEED).trace(num_requests)
+    trace = OpenLoopArrivals(table2_mix(), rate_rps=OFFERED_RATE_RPS, seed=SEED).trace(
+        num_requests
+    )
     # Materialize the lazy request objects up front so the one-time cost is
     # charged to neither timed serve (both engines then see identical input
     # state, which the regression script's machine-factor normalization
@@ -109,46 +121,34 @@ def _cluster(services, engine: str) -> ShardedServiceCluster:
     return ShardedServiceCluster(
         services["DynPre"],
         num_shards=NUM_SHARDS,
-        scheduler=BatchScheduler(
-            max_batch_size=MAX_BATCH_SIZE, max_wait_seconds=MAX_WAIT_SECONDS
-        ),
+        scheduler=scheduler(),
         policy=POLICY_LEAST_LOADED,
         engine=engine,
     )
 
 
-def _timed_serve(services, engine: str, trace):
+def _timed(services, trace, engine: str = ENGINE_FAST, chunked: Optional[bool] = None):
+    """Time one replay; ``chunked`` pins the fast engine's offline loop."""
     cluster = _cluster(services, engine)
     started = time.perf_counter()
-    report = cluster.serve_trace(trace)
-    elapsed = time.perf_counter() - started
-    return report, elapsed
+    if chunked is None:
+        report = cluster.serve_trace(trace)
+    else:
+        report = serve_trace_fast(cluster, trace, chunked=chunked)
+    return report, time.perf_counter() - started
 
 
-def _timed_fast(services, trace, chunked: bool):
-    """Time one fast-engine replay with the offline loop pinned explicitly."""
-    from repro.serving.engine import serve_trace_fast
-
-    cluster = _cluster(services, ENGINE_FAST)
-    started = time.perf_counter()
-    report = serve_trace_fast(cluster, trace, chunked=chunked)
-    elapsed = time.perf_counter() - started
-    return report, elapsed
-
-
-def run_million(services=None) -> Dict:
+def run_million(services) -> Dict:
     """The fast-only 1M-request tier: chunked vs per-event loop.
 
     Returns the result entry (also embedded in the full run's document);
     raises on report divergence.  The reference engine is deliberately
-    absent — it would take minutes at this scale — so the regression
-    script normalizes machine speed with the per-event fast loop instead.
+    absent — it would take minutes at this scale — so the per-event fast
+    loop normalizes machine speed instead.
     """
-    if services is None:
-        services = build_services()
     trace = _trace(MILLION_SCALE)
-    event_report, event_seconds = _timed_fast(services, trace, chunked=False)
-    chunked_report, chunked_seconds = _timed_fast(services, trace, chunked=True)
+    event_report, event_seconds = _timed(services, trace, chunked=False)
+    chunked_report, chunked_seconds = _timed(services, trace, chunked=True)
     if json.dumps(event_report.as_dict(), sort_keys=True) != json.dumps(
         chunked_report.as_dict(), sort_keys=True
     ):
@@ -166,33 +166,32 @@ def run_million(services=None) -> Dict:
         "wall_budget_seconds": MILLION_WALL_BUDGET_SECONDS,
         "identical_reports": True,
     }
-    verdict = "ok" if speedup >= MIN_MILLION_SPEEDUP else "REGRESSION"
     print(
         f"{MILLION_SCALE:>7} requests: per-event {event_seconds:7.2f}s | "
-        f"chunked {chunked_seconds:7.3f}s | {speedup:6.1f}x "
-        f"(gate >= {MIN_MILLION_SPEEDUP:.0f}x) | {verdict}"
+        f"chunked {chunked_seconds:7.3f}s | {speedup:6.1f}x"
     )
     return entry
 
 
-def run(quick: bool = False) -> Dict:
-    """Execute the benchmark and return (and persist) the result document."""
+def run(quick: bool = False, million: Optional[bool] = None) -> Dict:
+    """Execute the benchmark and return the result document.
+
+    ``million`` (default: the full run only) adds the 1M-request tier.
+    """
     services = build_services()
     results: List[Dict] = []
-    failures: List[str] = []
 
     scales = GATED_SCALES[:1] if quick else GATED_SCALES
     for num_requests, min_speedup, min_chunked in scales:
         trace = _trace(num_requests)
-        reference_report, reference_seconds = _timed_serve(
-            services, ENGINE_REFERENCE, trace
-        )
-        event_report, event_seconds = _timed_fast(services, trace, chunked=False)
-        fast_report, fast_seconds = _timed_fast(services, trace, chunked=True)
-        reference_rendered = json.dumps(reference_report.as_dict(), sort_keys=True)
-        fast_rendered = json.dumps(fast_report.as_dict(), sort_keys=True)
-        event_rendered = json.dumps(event_report.as_dict(), sort_keys=True)
-        if reference_rendered != fast_rendered or reference_rendered != event_rendered:
+        reference_report, reference_seconds = _timed(services, trace, ENGINE_REFERENCE)
+        event_report, event_seconds = _timed(services, trace, chunked=False)
+        fast_report, fast_seconds = _timed(services, trace, chunked=True)
+        rendered = {
+            json.dumps(report.as_dict(), sort_keys=True)
+            for report in (reference_report, event_report, fast_report)
+        }
+        if len(rendered) != 1:
             raise AssertionError(
                 f"engine divergence at {num_requests} requests: fast reports are "
                 "not byte-identical to the reference report"
@@ -212,28 +211,16 @@ def run(quick: bool = False) -> Dict:
                 "identical_reports": True,
             }
         )
-        verdict = "ok" if (speedup >= min_speedup and chunked_speedup >= min_chunked) \
-            else "REGRESSION"
         print(
             f"{num_requests:>7} requests: reference {reference_seconds:7.2f}s | "
             f"per-event {event_seconds:7.3f}s | chunked {fast_seconds:7.3f}s | "
-            f"{speedup:6.1f}x (gate >= {min_speedup:.0f}x) | "
-            f"chunked {chunked_speedup:5.2f}x (gate >= {min_chunked:.2f}x) | {verdict}"
+            f"{speedup:6.1f}x | chunked {chunked_speedup:5.2f}x"
         )
-        if speedup < min_speedup:
-            failures.append(
-                f"{num_requests} requests: {speedup:.1f}x below the {min_speedup:.0f}x gate"
-            )
-        if chunked_speedup < min_chunked:
-            failures.append(
-                f"{num_requests} requests: chunked loop {chunked_speedup:.2f}x below "
-                f"the {min_chunked:.2f}x gate over the per-event loop"
-            )
 
     showcase: Optional[Dict] = None
     if not quick:
         trace = _trace(SHOWCASE_SCALE)
-        report, fast_seconds = _timed_serve(services, ENGINE_FAST, trace)
+        report, fast_seconds = _timed(services, trace)
         showcase = {
             "scale": SHOWCASE_SCALE,
             "fast_seconds": round(fast_seconds, 4),
@@ -245,28 +232,16 @@ def run(quick: bool = False) -> Dict:
             f"(reference skipped) | {report.throughput_rps:8.1f} simulated rps"
         )
 
-    million: Optional[Dict] = None
-    if not quick:
-        million = run_million(services)
-        if million["chunked_speedup"] < million["min_chunked_speedup"]:
-            failures.append(
-                f"{MILLION_SCALE} requests: chunked loop "
-                f"{million['chunked_speedup']:.2f}x below the "
-                f"{million['min_chunked_speedup']:.0f}x gate over the per-event loop"
-            )
-        if million["chunked_seconds"] > million["wall_budget_seconds"]:
-            failures.append(
-                f"{MILLION_SCALE} requests: chunked wall-clock "
-                f"{million['chunked_seconds']:.1f}s over the "
-                f"{million['wall_budget_seconds']:.0f}s budget"
-            )
+    if million is None:
+        million = not quick
+    million_entry = run_million(services) if million else None
 
-    document = {
+    return {
         "benchmark": "engine_speed",
         "_provenance": PROVENANCE,
         "quick": bool(quick),
         "trace": {
-            "datasets": list(TRACE_DATASETS),
+            "datasets": list(TABLE2_DATASETS),
             "offered_rate_rps": OFFERED_RATE_RPS,
             "process": "poisson",
             "seed": SEED,
@@ -280,65 +255,17 @@ def run(quick: bool = False) -> Dict:
         },
         "results": results,
         "showcase_100k": showcase,
-        "million": million,
-        "wall_clock_seconds": round(
-            sum(
-                entry["reference_seconds"] + entry["fast_seconds"]
-                + entry["event_seconds"]
-                for entry in results
-            )
-            + (showcase["fast_seconds"] if showcase else 0.0)
-            + (
-                million["event_seconds"] + million["chunked_seconds"]
-                if million
-                else 0.0
-            ),
-            4,
-        ),
+        "million": million_entry,
     }
-    if failures:
-        document["failures"] = failures
-    RESULT_PATH.write_text(json.dumps(document, indent=2) + "\n")
-    print(f"\nresults written to {RESULT_PATH}")
-    return document
 
 
 def test_engine_speed(benchmark):
-    """Pytest-benchmark entry point with the speedup acceptance gate."""
-    from common import run_once
-
-    document = run_once(benchmark, lambda: run(quick=True))
-    for entry in document["results"]:
-        assert entry["speedup"] >= entry["min_speedup"]
-        assert entry["chunked_speedup"] >= entry["min_chunked_speedup"]
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="5k-request gate only, skip 20k, the 100k showcase and the 1M tier "
-             "(CI mode)",
-    )
-    parser.add_argument(
-        "--million", action="store_true",
-        help="run only the fast-only 1M-request tier (chunked vs per-event)",
-    )
-    args = parser.parse_args(argv)
-    if args.million:
-        entry = run_million()
-        ok = (
-            entry["chunked_speedup"] >= entry["min_chunked_speedup"]
-            and entry["chunked_seconds"] <= entry["wall_budget_seconds"]
-        )
-        return 0 if ok else 1
-    document = run(quick=args.quick)
-    if document.get("failures"):
-        for failure in document["failures"]:
-            print(f"ENGINE SPEED REGRESSION: {failure}", file=sys.stderr)
-        return 1
-    return 0
+    """Pytest-benchmark entry point with the speedup acceptance gates."""
+    bench_test(benchmark, sys.modules[__name__])
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(bench_main(
+        sys.modules[__name__],
+        "5k-request gate only, skip 20k, the 100k showcase and the 1M tier (CI mode)",
+    ))

@@ -21,8 +21,8 @@ differs:
   substitution prefers shards in racks with no scheduled outage in flight.
 
 The acceptance gate — domain-aware goodput >= 1.2x domain-oblivious
-goodput — is enforced by the exit code and the pytest-benchmark entry, and
-CI re-checks it against the committed baseline via
+goodput — is a row of ``GATES``: the exit code and the pytest-benchmark
+entry enforce it, and CI re-checks it against the committed baseline via
 ``check_perf_regression.py``.
 
 A second section stress-tests the correlated generator: a bursty trace
@@ -39,22 +39,27 @@ Results are written to ``BENCH_failure_domains.json`` at the repo root.
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 import time
-from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-_SRC = REPO_ROOT / "src"
-if str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
-
+from common import (
+    REPO_ROOT,
+    TABLE2_DATASETS,
+    Gate,
+    bench_main,
+    bench_test,
+    bursty_stress_trace,
+    conserved_stress_entry,
+    goodput_summary,
+    mean_cost,
+    measure_capacity,
+    scheduler,
+    scheduler_settings,
+    table2_mix,
+)
 from repro.serving import (
     Autoscaler,
-    BatchScheduler,
-    BurstyArrivals,
     ClusterTopology,
     CorrelatedFaults,
     DomainFaultEvent,
@@ -69,17 +74,9 @@ from repro.serving import (
     TraceArrivals,
 )
 from repro.system.service import build_services
-from repro.system.workload import WorkloadProfile
 
 #: Output path of the machine-readable results (repo root, tracked by PRs).
 RESULT_PATH = REPO_ROOT / "BENCH_failure_domains.json"
-
-#: Workload mix of the traffic (same Table II mix as the other serving benches).
-TRACE_DATASETS = ("PH", "AX", "MV")
-
-#: Scheduler settings shared by both runs.
-MAX_BATCH_SIZE = 4
-MAX_WAIT_SECONDS = 0.005
 
 #: Shard and rack counts: three racks of two shards.
 NUM_SHARDS = 6
@@ -132,34 +129,16 @@ STRESS_OVERLOAD = 1.2
 
 SEED = 23
 
-
-def _mix() -> List[WorkloadProfile]:
-    return [WorkloadProfile.from_dataset(key) for key in TRACE_DATASETS]
-
-
-def _scheduler() -> BatchScheduler:
-    return BatchScheduler(max_batch_size=MAX_BATCH_SIZE, max_wait_seconds=MAX_WAIT_SECONDS)
+GATES = (
+    Gate("goodput_ratio", floor=MIN_DOMAIN_GOODPUT_RATIO, require=("stress.conserved",)),
+    # No whole-rack outage in the stress run means the correlated generator
+    # was quietly disabled.
+    Gate("stress.domain_outages", floor=1, relative=False),
+)
 
 
 def _topology() -> ClusterTopology:
     return ClusterTopology.uniform(NUM_SHARDS, NUM_DOMAINS)
-
-
-def _measure_capacity(template, num_requests: int) -> float:
-    """Saturated throughput of the *active* shard set (requests/second).
-
-    The autoscaler pins ``MIN_ACTIVE_SHARDS`` active shards, so the 2x
-    overload regime is defined against that steady-state capacity, not the
-    full provisioned cluster's.
-    """
-    mix = _mix()
-    estimate = sum(template.estimate_service_seconds(w) for w in mix) / len(mix)
-    saturating_rate = 20.0 / estimate  # far beyond capacity: pure backlog
-    cluster = ShardedServiceCluster(
-        template, num_shards=MIN_ACTIVE_SHARDS, scheduler=_scheduler()
-    )
-    trace = OpenLoopArrivals(mix, rate_rps=saturating_rate, seed=SEED).trace(num_requests)
-    return cluster.serve_trace(trace).throughput_rps
 
 
 def _outage_schedule(horizon_seconds: float) -> FaultSchedule:
@@ -184,19 +163,10 @@ def _outage_schedule(horizon_seconds: float) -> FaultSchedule:
 
 
 def _entry(report) -> Dict:
-    goodput = report.goodput
     faults = report.faults
     domains = faults.domains or () if faults is not None else ()
     return {
-        "system": report.system,
-        "num_shards": report.num_shards,
-        "offered": goodput.offered,
-        "served": goodput.served,
-        "shed": goodput.shed,
-        "failed": goodput.failed,
-        "throughput_rps": round(report.throughput_rps, 3),
-        "goodput_rps": round(goodput.goodput_rps, 3),
-        "slo_attainment": round(goodput.slo_attainment, 4),
+        **goodput_summary(report),
         "migrated": faults.migrated if faults is not None else 0,
         "retried": faults.retried if faults is not None else 0,
         "domain_outages": sum(stats.outages for stats in domains),
@@ -208,16 +178,16 @@ def _entry(report) -> Dict:
 
 
 def run(quick: bool = False) -> Dict:
-    """Execute the benchmark and return (and persist) the result document."""
-    started = time.perf_counter()
-    mix = _mix()
-    services = build_services()
-    template = services["DynPre"]
+    """Execute the benchmark and return the result document."""
+    mix = table2_mix()
+    template = build_services()["DynPre"]
     topology = _topology()
 
-    mean_cost = sum(template.estimate_service_seconds(w) for w in mix) / len(mix)
-    slo_seconds = SLO_COST_MULTIPLE * mean_cost
-    capacity_rps = _measure_capacity(template, num_requests=200 if quick else 500)
+    slo_seconds = SLO_COST_MULTIPLE * mean_cost(template, mix)
+    # The autoscaler pins MIN_ACTIVE_SHARDS active shards, so the 2x
+    # overload regime is defined against that steady-state capacity, not
+    # the full provisioned cluster's.
+    capacity_rps = measure_capacity(template, mix, MIN_ACTIVE_SHARDS, SEED, quick)
     total_rate = OVERLOAD_FACTOR * capacity_rps
     num_requests = 400 if quick else 1000
     trace = OpenLoopArrivals(mix, rate_rps=total_rate, seed=SEED).trace(num_requests)
@@ -234,7 +204,7 @@ def run(quick: bool = False) -> Dict:
         cluster = ShardedServiceCluster(
             template,
             num_shards=NUM_SHARDS,
-            scheduler=_scheduler(),
+            scheduler=scheduler(),
             topology=topology if domain_aware else None,
             placement="spread",
         )
@@ -271,23 +241,11 @@ def run(quick: bool = False) -> Dict:
     goodput_ratio = aware_entry["goodput_rps"] / max(
         oblivious_entry["goodput_rps"], 1e-9
     )
-    print(
-        f"\ndomain-aware goodput {aware_entry['goodput_rps']:.1f} rps vs oblivious "
-        f"{oblivious_entry['goodput_rps']:.1f} rps -> {goodput_ratio:.2f}x "
-        f"(gate >= {MIN_DOMAIN_GOODPUT_RATIO:.1f}x)"
-    )
 
     # ----------------------------------------- correlated-fault stress section
     stress_requests = STRESS_REQUESTS_QUICK if quick else STRESS_REQUESTS
     stress_rate = STRESS_OVERLOAD * capacity_rps
-    stress_trace = BurstyArrivals(
-        mix,
-        base_rate_rps=0.5 * stress_rate,
-        peak_rate_rps=2.5 * stress_rate,
-        period_seconds=0.5,
-        burst_fraction=0.25,
-        seed=SEED + 1,
-    ).trace(stress_requests)
+    stress_trace = bursty_stress_trace(mix, stress_rate, stress_requests, SEED + 1)
     stress_horizon = stress_trace[-1].arrival_seconds
     stress_generator = RandomFaults(
         num_shards=NUM_SHARDS,
@@ -308,7 +266,7 @@ def run(quick: bool = False) -> Dict:
     stress_faults = stress_generator.schedule()
     slo = SLOPolicy(default_slo_seconds=slo_seconds)
     stress_cluster = ShardedServiceCluster(
-        template, num_shards=NUM_SHARDS, scheduler=_scheduler(),
+        template, num_shards=NUM_SHARDS, scheduler=scheduler(),
         topology=topology, placement="spread",
     )
     stress_started = time.perf_counter()
@@ -326,30 +284,25 @@ def run(quick: bool = False) -> Dict:
             faults=stress_faults,
         ),
     )
-    stress_seconds = time.perf_counter() - stress_started
-    stress_goodput = stress_report.goodput
-    conserved = stress_goodput.offered == (
-        stress_goodput.served + stress_goodput.shed + stress_goodput.failed
+    stress = conserved_stress_entry(
+        stress_report,
+        time.perf_counter() - stress_started,
+        num_requests=len(stress_trace),
+        num_fault_events=len(stress_faults.expanded_events),
+        num_domain_macros=len(stress_faults.domain_events),
+        domain_outages=sum(stats.outages for stats in stress_report.faults.domains or ()),
     )
-    if not conserved:
-        raise AssertionError(
-            f"conservation violated in stress run: offered {stress_goodput.offered} "
-            f"!= served {stress_goodput.served} + shed {stress_goodput.shed} "
-            f"+ failed {stress_goodput.failed}"
-        )
-    stress_domains = stress_report.faults.domains or ()
-    stress_outages = sum(stats.outages for stats in stress_domains)
     print(
         f"\nstress: {len(stress_trace)} bursty requests, "
         f"{len(stress_faults.expanded_events)} fault events "
         f"({len(stress_faults.domain_events)} domain macros), autoscaled "
-        f"{MIN_ACTIVE_SHARDS}..{NUM_SHARDS} shards in {stress_seconds:.2f}s wall | "
-        f"served {stress_goodput.served} + shed {stress_goodput.shed} + failed "
-        f"{stress_goodput.failed} == offered {stress_goodput.offered} | "
-        f"{stress_outages} whole-rack outages observed"
+        f"{MIN_ACTIVE_SHARDS}..{NUM_SHARDS} shards in "
+        f"{stress['wall_clock_seconds']:.2f}s wall | served {stress['served']} + shed "
+        f"{stress['shed']} + failed {stress['failed']} == offered {stress['offered']} | "
+        f"{stress['domain_outages']} whole-rack outages observed"
     )
 
-    document = {
+    return {
         "benchmark": "failure_domains",
         "_provenance": {
             "note": (
@@ -366,7 +319,7 @@ def run(quick: bool = False) -> Dict:
         },
         "quick": bool(quick),
         "traffic": {
-            "datasets": list(TRACE_DATASETS),
+            "datasets": list(TABLE2_DATASETS),
             "num_requests": len(trace),
             "offered_rate_rps": round(trace.offered_rate_rps, 3),
             "overload_factor": OVERLOAD_FACTOR,
@@ -384,64 +337,21 @@ def run(quick: bool = False) -> Dict:
             for domain, cycles in DOMAIN_OUTAGES
         ],
         "retry_budget": RETRY_BUDGET,
-        "scheduler": {
-            "max_batch_size": MAX_BATCH_SIZE,
-            "max_wait_seconds": MAX_WAIT_SECONDS,
-        },
+        "scheduler": scheduler_settings(),
         "slo_seconds": round(slo_seconds, 6),
         "capacity_rps": round(capacity_rps, 3),
         "domain_oblivious": oblivious_entry,
         "domain_aware": aware_entry,
         "goodput_ratio": round(goodput_ratio, 3),
         "min_goodput_ratio": MIN_DOMAIN_GOODPUT_RATIO,
-        "stress": {
-            "num_requests": len(stress_trace),
-            "num_fault_events": len(stress_faults.expanded_events),
-            "num_domain_macros": len(stress_faults.domain_events),
-            "offered": stress_goodput.offered,
-            "served": stress_goodput.served,
-            "shed": stress_goodput.shed,
-            "failed": stress_goodput.failed,
-            "goodput_rps": round(stress_goodput.goodput_rps, 3),
-            "scaling_events": len(stress_report.scaling_timeline),
-            "domain_outages": stress_outages,
-            "conserved": conserved,
-            "wall_clock_seconds": round(stress_seconds, 4),
-        },
-        "wall_clock_seconds": round(time.perf_counter() - started, 4),
+        "stress": stress,
     }
-    RESULT_PATH.write_text(json.dumps(document, indent=2) + "\n")
-    print(f"\nresults written to {RESULT_PATH}")
-    return document
 
 
 def test_failure_domains(benchmark):
     """Pytest-benchmark entry point with the placement acceptance gate."""
-    from common import run_once
-
-    document = run_once(benchmark, lambda: run(quick=True))
-    assert document["goodput_ratio"] >= MIN_DOMAIN_GOODPUT_RATIO
-    assert document["stress"]["conserved"]
-    assert document["stress"]["domain_outages"] > 0
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="smaller request budget (CI mode)",
-    )
-    args = parser.parse_args(argv)
-    document = run(quick=args.quick)
-    if document["goodput_ratio"] < document["min_goodput_ratio"]:
-        print(
-            f"FAILURE-DOMAIN REGRESSION: goodput ratio "
-            f"{document['goodput_ratio']:.2f}x < {MIN_DOMAIN_GOODPUT_RATIO:.1f}x",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    bench_test(benchmark, sys.modules[__name__])
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(bench_main(sys.modules[__name__], "smaller request budget (CI mode)"))

@@ -21,8 +21,8 @@ only the serving stack's reaction differs:
   only.
 
 The acceptance gate — fault-aware goodput >= 2x fault-oblivious goodput —
-is enforced by the exit code and the pytest-benchmark entry, so CI fails
-if recovery regresses.
+is a row of ``GATES``, so the exit code, the pytest-benchmark entry and
+the CI gate step all fail if recovery regresses.
 
 A second section stress-tests scale: a 100k-request bursty trace
 (``--quick``: 10k) through the autoscaled online loop under a seeded
@@ -34,23 +34,28 @@ Results are written to ``BENCH_fault_tolerance.json`` at the repo root.
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 import time
-from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-_SRC = REPO_ROOT / "src"
-if str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
-
+from common import (
+    REPO_ROOT,
+    TABLE2_DATASETS,
+    Gate,
+    bench_main,
+    bench_test,
+    bursty_stress_trace,
+    conserved_stress_entry,
+    goodput_summary,
+    mean_cost,
+    measure_capacity,
+    scheduler,
+    scheduler_settings,
+    table2_mix,
+)
 from repro.serving import (
     AdmissionController,
     Autoscaler,
-    BatchScheduler,
-    BurstyArrivals,
     FAULT_CRASH,
     FAULT_RECOVER,
     FaultEvent,
@@ -63,17 +68,9 @@ from repro.serving import (
     TraceArrivals,
 )
 from repro.system.service import build_services
-from repro.system.workload import WorkloadProfile
 
 #: Output path of the machine-readable results (repo root, tracked by PRs).
 RESULT_PATH = REPO_ROOT / "BENCH_fault_tolerance.json"
-
-#: Workload mix of the traffic (same Table II mix as the other serving benches).
-TRACE_DATASETS = ("PH", "AX", "MV")
-
-#: Scheduler settings shared by both runs.
-MAX_BATCH_SIZE = 4
-MAX_WAIT_SECONDS = 0.005
 
 #: Shard count of both clusters.
 NUM_SHARDS = 4
@@ -107,34 +104,14 @@ RETRY_BUDGET = 3
 #: of the fault-oblivious goodput on the identical run.
 MIN_GOODPUT_RATIO = 2.0
 
+GATES = (Gate("goodput_ratio", floor=MIN_GOODPUT_RATIO, require=("stress.conserved",)),)
+
 #: Stress section: request budget and overload of the autoscaled run.
 STRESS_REQUESTS = 100_000
 STRESS_REQUESTS_QUICK = 10_000
 STRESS_OVERLOAD = 1.2
 
 SEED = 17
-
-
-def _mix() -> List[WorkloadProfile]:
-    return [WorkloadProfile.from_dataset(key) for key in TRACE_DATASETS]
-
-
-def _scheduler() -> BatchScheduler:
-    return BatchScheduler(max_batch_size=MAX_BATCH_SIZE, max_wait_seconds=MAX_WAIT_SECONDS)
-
-
-def _measure_capacity(template, num_requests: int) -> float:
-    """Saturated throughput of the cluster on this mix (requests/second)."""
-    mix = _mix()
-    estimate = sum(template.estimate_service_seconds(w) for w in mix) / len(mix)
-    saturating_rate = 20.0 / estimate  # far beyond capacity: pure backlog
-    cluster = ShardedServiceCluster(
-        template, num_shards=NUM_SHARDS, scheduler=_scheduler(), policy=POLICY
-    )
-    trace = OpenLoopArrivals(mix, rate_rps=saturating_rate, seed=SEED).trace(
-        num_requests
-    )
-    return cluster.serve_trace(trace).throughput_rps
 
 
 def _outage_schedule(horizon_seconds: float, fault_aware: bool) -> FaultSchedule:
@@ -164,32 +141,20 @@ def _outage_schedule(horizon_seconds: float, fault_aware: bool) -> FaultSchedule
 
 
 def _entry(report) -> Dict:
-    goodput = report.goodput
     faults = report.faults
     return {
-        "system": report.system,
-        "num_shards": report.num_shards,
-        "offered": goodput.offered,
-        "served": goodput.served,
-        "shed": goodput.shed,
-        "failed": goodput.failed,
-        "throughput_rps": round(report.throughput_rps, 3),
-        "goodput_rps": round(goodput.goodput_rps, 3),
-        "slo_attainment": round(goodput.slo_attainment, 4),
+        **goodput_summary(report),
         "faults": faults.as_dict() if faults is not None else None,
     }
 
 
 def run(quick: bool = False) -> Dict:
-    """Execute the benchmark and return (and persist) the result document."""
-    started = time.perf_counter()
-    mix = _mix()
-    services = build_services()
-    template = services["DynPre"]
+    """Execute the benchmark and return the result document."""
+    mix = table2_mix()
+    template = build_services()["DynPre"]
 
-    mean_cost = sum(template.estimate_service_seconds(w) for w in mix) / len(mix)
-    slo_seconds = SLO_COST_MULTIPLE * mean_cost
-    capacity_rps = _measure_capacity(template, num_requests=200 if quick else 500)
+    slo_seconds = SLO_COST_MULTIPLE * mean_cost(template, mix)
+    capacity_rps = measure_capacity(template, mix, NUM_SHARDS, SEED, quick)
     total_rate = OVERLOAD_FACTOR * capacity_rps
     num_requests = 400 if quick else 1000
     trace = OpenLoopArrivals(mix, rate_rps=total_rate, seed=SEED).trace(num_requests)
@@ -203,7 +168,7 @@ def run(quick: bool = False) -> Dict:
 
     def serve(fault_aware: bool):
         cluster = ShardedServiceCluster(
-            template, num_shards=NUM_SHARDS, scheduler=_scheduler(), policy=POLICY
+            template, num_shards=NUM_SHARDS, scheduler=scheduler(), policy=POLICY
         )
         slo = SLOPolicy(default_slo_seconds=slo_seconds)
         return cluster.serve_online(
@@ -230,23 +195,11 @@ def run(quick: bool = False) -> Dict:
     goodput_ratio = aware_entry["goodput_rps"] / max(
         oblivious_entry["goodput_rps"], 1e-9
     )
-    print(
-        f"\nfault-aware goodput {aware_entry['goodput_rps']:.1f} rps vs oblivious "
-        f"{oblivious_entry['goodput_rps']:.1f} rps -> {goodput_ratio:.1f}x "
-        f"(gate >= {MIN_GOODPUT_RATIO:.1f}x)"
-    )
 
     # -------------------------------------------------- autoscaled stress run
     stress_requests = STRESS_REQUESTS_QUICK if quick else STRESS_REQUESTS
     stress_rate = STRESS_OVERLOAD * capacity_rps
-    stress_trace = BurstyArrivals(
-        mix,
-        base_rate_rps=0.5 * stress_rate,
-        peak_rate_rps=2.5 * stress_rate,
-        period_seconds=0.5,
-        burst_fraction=0.25,
-        seed=SEED + 1,
-    ).trace(stress_requests)
+    stress_trace = bursty_stress_trace(mix, stress_rate, stress_requests, SEED + 1)
     stress_horizon = stress_trace[-1].arrival_seconds
     stress_faults = RandomFaults(
         num_shards=NUM_SHARDS,
@@ -261,7 +214,7 @@ def run(quick: bool = False) -> Dict:
     ).schedule()
     slo = SLOPolicy(default_slo_seconds=slo_seconds)
     stress_cluster = ShardedServiceCluster(
-        template, num_shards=NUM_SHARDS, scheduler=_scheduler(), policy=POLICY
+        template, num_shards=NUM_SHARDS, scheduler=scheduler(), policy=POLICY
     )
     stress_started = time.perf_counter()
     stress_report = stress_cluster.serve_online(
@@ -276,26 +229,21 @@ def run(quick: bool = False) -> Dict:
             faults=stress_faults,
         ),
     )
-    stress_seconds = time.perf_counter() - stress_started
-    stress_goodput = stress_report.goodput
-    conserved = stress_goodput.offered == (
-        stress_goodput.served + stress_goodput.shed + stress_goodput.failed
+    stress = conserved_stress_entry(
+        stress_report,
+        time.perf_counter() - stress_started,
+        num_requests=len(stress_trace),
+        num_fault_events=len(stress_faults.events),
     )
-    if not conserved:
-        raise AssertionError(
-            f"conservation violated in stress run: offered {stress_goodput.offered} "
-            f"!= served {stress_goodput.served} + shed {stress_goodput.shed} "
-            f"+ failed {stress_goodput.failed}"
-        )
     print(
         f"\nstress: {len(stress_trace)} bursty requests, "
         f"{len(stress_faults.events)} fault events, autoscaled 2..{NUM_SHARDS} shards "
-        f"in {stress_seconds:.2f}s wall | served {stress_goodput.served} + shed "
-        f"{stress_goodput.shed} + failed {stress_goodput.failed} == offered "
-        f"{stress_goodput.offered} | {len(stress_report.scaling_timeline)} scaling events"
+        f"in {stress['wall_clock_seconds']:.2f}s wall | served {stress['served']} + shed "
+        f"{stress['shed']} + failed {stress['failed']} == offered "
+        f"{stress['offered']} | {stress['scaling_events']} scaling events"
     )
 
-    document = {
+    return {
         "benchmark": "fault_tolerance",
         "_provenance": (
             "simulated metrics from ShardedServiceCluster.serve_online (engine-"
@@ -306,7 +254,7 @@ def run(quick: bool = False) -> Dict:
         ),
         "quick": bool(quick),
         "traffic": {
-            "datasets": list(TRACE_DATASETS),
+            "datasets": list(TABLE2_DATASETS),
             "num_requests": len(trace),
             "offered_rate_rps": round(trace.offered_rate_rps, 3),
             "overload_factor": OVERLOAD_FACTOR,
@@ -318,61 +266,21 @@ def run(quick: bool = False) -> Dict:
         ],
         "retry_budget": RETRY_BUDGET,
         "policy": POLICY,
-        "scheduler": {
-            "max_batch_size": MAX_BATCH_SIZE,
-            "max_wait_seconds": MAX_WAIT_SECONDS,
-        },
+        "scheduler": scheduler_settings(),
         "slo_seconds": round(slo_seconds, 6),
         "capacity_rps": round(capacity_rps, 3),
         "fault_oblivious": oblivious_entry,
         "fault_aware": aware_entry,
         "goodput_ratio": round(goodput_ratio, 3),
         "min_goodput_ratio": MIN_GOODPUT_RATIO,
-        "stress": {
-            "num_requests": len(stress_trace),
-            "num_fault_events": len(stress_faults.events),
-            "offered": stress_goodput.offered,
-            "served": stress_goodput.served,
-            "shed": stress_goodput.shed,
-            "failed": stress_goodput.failed,
-            "goodput_rps": round(stress_goodput.goodput_rps, 3),
-            "scaling_events": len(stress_report.scaling_timeline),
-            "conserved": conserved,
-            "wall_clock_seconds": round(stress_seconds, 4),
-        },
-        "wall_clock_seconds": round(time.perf_counter() - started, 4),
+        "stress": stress,
     }
-    RESULT_PATH.write_text(json.dumps(document, indent=2) + "\n")
-    print(f"\nresults written to {RESULT_PATH}")
-    return document
 
 
 def test_fault_tolerance(benchmark):
     """Pytest-benchmark entry point with the recovery acceptance gate."""
-    from common import run_once
-
-    document = run_once(benchmark, lambda: run(quick=True))
-    assert document["goodput_ratio"] >= MIN_GOODPUT_RATIO
-    assert document["stress"]["conserved"]
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="smaller request budget (CI mode)",
-    )
-    args = parser.parse_args(argv)
-    document = run(quick=args.quick)
-    if document["goodput_ratio"] < document["min_goodput_ratio"]:
-        print(
-            f"FAULT-TOLERANCE REGRESSION: goodput ratio "
-            f"{document['goodput_ratio']:.2f}x < {MIN_GOODPUT_RATIO:.1f}x",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+    bench_test(benchmark, sys.modules[__name__])
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(bench_main(sys.modules[__name__], "smaller request budget (CI mode)"))

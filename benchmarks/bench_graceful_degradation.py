@@ -19,9 +19,9 @@ would-be sheds into cheap useful work, not by relabeling.
 
 Results are written to ``BENCH_graceful_degradation.json`` at the repo
 root.  The acceptance gate — tiered SLO-weighted goodput >=
-``MIN_WEIGHTED_RATIO`` x binary — is enforced by the exit code (and the
-pytest-benchmark entry) and wired into CI through
-``benchmarks/check_perf_regression.py``.
+``MIN_WEIGHTED_RATIO`` x binary, both runs conserving every request — is a
+row of ``GATES``, enforced by the exit code, the pytest-benchmark entry
+and the CI gate step (``benchmarks/check_perf_regression.py``).
 
 Run standalone (``--quick`` trims the request budget) or through
 pytest-benchmark like the figure benchmarks.
@@ -29,29 +29,27 @@ pytest-benchmark like the figure benchmarks.
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
-import time
-from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-_SRC = REPO_ROOT / "src"
-if str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
-
+from common import (
+    REPO_ROOT,
+    closed_loop_overload,
+    Gate,
+    bench_main,
+    bench_test,
+    latency_summary,
+    scheduler,
+    table2_mix,
+)
 from repro.analysis.report import format_distribution
 from repro.serving import (
-    BatchScheduler,
-    ClosedLoopClients,
     DegradationPolicy,
     ServingConfig,
     ShardedServiceCluster,
     SLOPolicy,
 )
 from repro.system.service import build_services
-from repro.system.workload import WorkloadProfile
 
 #: Output path of the machine-readable results (repo root, tracked by PRs).
 RESULT_PATH = REPO_ROOT / "BENCH_graceful_degradation.json"
@@ -63,10 +61,6 @@ RESULT_PATH = REPO_ROOT / "BENCH_graceful_degradation.json"
 #: and are deliberately excluded — shedding remains the right call there.
 TRACE_DATASETS = ("PH", "MV")
 NUM_LAYERS = 3
-
-#: Scheduler settings shared by both runs.
-MAX_BATCH_SIZE = 4
-MAX_WAIT_SECONDS = 0.005
 
 #: Shard count of both clusters.
 NUM_SHARDS = 4
@@ -95,16 +89,13 @@ MIN_WEIGHTED_RATIO = 1.5
 
 SEED = 7
 
-
-def _mix() -> List[WorkloadProfile]:
-    return [
-        WorkloadProfile.from_dataset(key, num_layers=NUM_LAYERS)
-        for key in TRACE_DATASETS
-    ]
+GATES = (
+    Gate("weighted_goodput_ratio", floor=MIN_WEIGHTED_RATIO,
+         require=("binary.conserved", "tiered.conserved")),
+)
 
 
 def _entry(report) -> Dict:
-    latency = report.latency
     goodput = report.goodput
     return {
         "system": report.system,
@@ -127,59 +118,23 @@ def _entry(report) -> Dict:
         "slo_attainment": round(goodput.slo_attainment, 4),
         "conserved": goodput.offered
         == goodput.served_full + goodput.served_degraded + goodput.shed + goodput.failed,
-        "latency_seconds": {
-            "p50": round(latency.p50, 6),
-            "p95": round(latency.p95, 6),
-            "p99": round(latency.p99, 6),
-            "mean": round(latency.mean, 6),
-        },
+        "latency_seconds": latency_summary(report.latency),
     }
 
 
 def run(quick: bool = False) -> Dict:
-    """Execute the benchmark and return (and persist) the result document."""
-    started = time.perf_counter()
-    mix = _mix()
-    services = build_services()
-    template = services["DynPre"]
-    scheduler = BatchScheduler(
-        max_batch_size=MAX_BATCH_SIZE, max_wait_seconds=MAX_WAIT_SECONDS
+    """Execute the benchmark and return the result document."""
+    template = build_services()["DynPre"]
+    # Identical calibration to bench_slo_control.
+    clients, slo_seconds, traffic_fields = closed_loop_overload(
+        template, TRACE_DATASETS, table2_mix(TRACE_DATASETS, num_layers=NUM_LAYERS),
+        NUM_SHARDS, SLO_COST_MULTIPLE, OVERLOAD_FACTOR, SEED, quick,
     )
-
-    # ---------------------------------------------------- traffic calibration
-    # Identical to bench_slo_control: the merged-batch cost prices the
-    # cluster's SLO-bounded concurrency, from which the 2x-overload client
-    # population follows.
-    mean_cost = sum(template.estimate_service_seconds(w) for w in mix) / len(mix)
-    batch_cost = sum(
-        template.estimate_service_seconds(w.with_batch_size(w.batch_size * MAX_BATCH_SIZE))
-        for w in mix
-    ) / len(mix)
-    slo_seconds = SLO_COST_MULTIPLE * mean_cost
-    capacity_rps = NUM_SHARDS * MAX_BATCH_SIZE / batch_cost
-    num_clients = max(int(round(OVERLOAD_FACTOR * capacity_rps * slo_seconds)), 2)
-    max_requests = num_clients * (2 if quick else 5)
-    retry_backoff = slo_seconds / 2.0
     slo = SLOPolicy(default_slo_seconds=slo_seconds)
-    print(
-        f"mean cost {mean_cost * 1e3:.1f} ms | SLO {slo_seconds * 1e3:.1f} ms | "
-        f"capacity ~{capacity_rps:.0f} rps | {num_clients} closed-loop clients "
-        f"({OVERLOAD_FACTOR:.0f}x overload) | {max_requests} requests"
-    )
-
-    def clients() -> ClosedLoopClients:
-        return ClosedLoopClients(
-            mix,
-            num_clients=num_clients,
-            think_seconds=0.0,
-            seed=SEED,
-            max_requests=max_requests,
-            retry_backoff_seconds=retry_backoff,
-        )
 
     def cluster() -> ShardedServiceCluster:
         return ShardedServiceCluster(
-            template, num_shards=NUM_SHARDS, scheduler=scheduler
+            template, num_shards=NUM_SHARDS, scheduler=scheduler()
         )
 
     # -------------------------------------------------------- the two runs
@@ -187,7 +142,8 @@ def run(quick: bool = False) -> Dict:
         clients(), config=ServingConfig(slo=slo, admit=True)
     )
     tiered = cluster().serve_online(
-        clients(), config=ServingConfig(slo=slo, admit=True, degradation=DEGRADATION)
+        clients(),
+        config=ServingConfig(slo=slo, admit=True, degradation=DEGRADATION),
     )
 
     stats_by_label = {"binary": binary.latency, "tiered": tiered.latency}
@@ -204,13 +160,9 @@ def run(quick: bool = False) -> Dict:
     binary_weighted = binary.goodput.slo_weighted_goodput_rps(DEGRADED_UTILITY)
     tiered_weighted = tiered.goodput.slo_weighted_goodput_rps(DEGRADED_UTILITY)
     weighted_ratio = tiered_weighted / max(binary_weighted, 1e-12)
-    print(
-        f"\ntiered vs binary SLO-weighted goodput: {weighted_ratio:.2f}x "
-        f"(gate >= {MIN_WEIGHTED_RATIO:.1f}x)"
-    )
     print("\n" + format_distribution("sojourn latency (s)", stats_by_label))
 
-    document = {
+    return {
         "benchmark": "graceful_degradation",
         "_provenance": (
             "simulated metrics from ShardedServiceCluster.serve_online (engine-"
@@ -219,69 +171,20 @@ def run(quick: bool = False) -> Dict:
             "`python benchmarks/bench_graceful_degradation.py`."
         ),
         "quick": bool(quick),
-        "traffic": {
-            "datasets": list(TRACE_DATASETS),
-            "num_clients": num_clients,
-            "max_requests": max_requests,
-            "think_seconds": 0.0,
-            "retry_backoff_seconds": round(retry_backoff, 6),
-            "seed": SEED,
-            "overload_factor": OVERLOAD_FACTOR,
-        },
-        "scheduler": {
-            "max_batch_size": MAX_BATCH_SIZE,
-            "max_wait_seconds": MAX_WAIT_SECONDS,
-        },
-        "slo_seconds": round(slo_seconds, 6),
-        "capacity_estimate_rps": round(capacity_rps, 3),
+        **traffic_fields,
         "degradation": DEGRADATION.as_dict(),
         "degraded_utility": DEGRADED_UTILITY,
         "binary": _entry(binary),
         "tiered": _entry(tiered),
         "weighted_goodput_ratio": round(weighted_ratio, 3),
         "min_weighted_goodput_ratio": MIN_WEIGHTED_RATIO,
-        "wall_clock_seconds": round(time.perf_counter() - started, 4),
     }
-    RESULT_PATH.write_text(json.dumps(document, indent=2) + "\n")
-    print(f"\nresults written to {RESULT_PATH}")
-    return document
 
 
 def test_graceful_degradation(benchmark):
     """Pytest-benchmark entry point with the weighted-goodput acceptance gate."""
-    from common import run_once
-
-    document = run_once(benchmark, lambda: run(quick=True))
-    assert document["weighted_goodput_ratio"] >= MIN_WEIGHTED_RATIO
-    assert document["binary"]["conserved"] and document["tiered"]["conserved"]
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true",
-        help="smaller request budget (CI mode)",
-    )
-    args = parser.parse_args(argv)
-    document = run(quick=args.quick)
-    failed = False
-    if document["weighted_goodput_ratio"] < MIN_WEIGHTED_RATIO:
-        print(
-            f"DEGRADATION REGRESSION: weighted goodput ratio "
-            f"{document['weighted_goodput_ratio']:.2f}x < {MIN_WEIGHTED_RATIO:.1f}x",
-            file=sys.stderr,
-        )
-        failed = True
-    for label in ("binary", "tiered"):
-        if not document[label]["conserved"]:
-            print(
-                f"CONSERVATION BROKEN in {label} run: "
-                "offered != served_full + served_degraded + shed + failed",
-                file=sys.stderr,
-            )
-            failed = True
-    return 1 if failed else 0
+    bench_test(benchmark, sys.modules[__name__])
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(bench_main(sys.modules[__name__], "smaller request budget (CI mode)"))

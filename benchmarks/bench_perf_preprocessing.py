@@ -7,7 +7,10 @@ verifies the fast-path contract along the way: bit-exact reindexing output and
 identical cycle counts between modes (see DESIGN.md).
 
 Results are written to ``BENCH_perf_preprocessing.json`` at the repo root so
-future PRs have a machine-readable perf trajectory.
+future PRs have a machine-readable perf trajectory.  ``GATES`` requires both
+equivalence booleans at every scale that checks them and floors the
+vectorized/reference speedup; ``benchmarks/check_perf_regression.py`` adds
+the floor relative to the committed speedup.
 
 Run standalone (``--quick`` skips the 1M-edge scale, for CI) or through
 pytest-benchmark like the figure benchmarks.
@@ -15,20 +18,13 @@ pytest-benchmark like the figure benchmarks.
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 import time
-from pathlib import Path
-from typing import Dict, List, Optional
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-_SRC = REPO_ROOT / "src"
-if str(_SRC) not in sys.path:
-    sys.path.insert(0, str(_SRC))
+from typing import Dict, List
 
 import numpy as np
 
+from common import REPO_ROOT, Gate, bench_main, bench_test
 from repro.core.accelerator import AutoGNNDevice
 from repro.graph.generators import GraphSpec, power_law_graph
 from repro.graph.sampling import MODE_REFERENCE, MODE_VECTORIZED
@@ -54,6 +50,14 @@ CYCLE_CHECK_MAX_EDGES = 100_000
 K = 10
 NUM_LAYERS = 2
 SEED = 0
+
+#: Absolute floor of the vectorized/reference speedup at every scale.
+MIN_SPEEDUP = 5.0
+
+GATES = (
+    Gate("speedup", per="scale", floor=MIN_SPEEDUP,
+         require=("bit_exact", "cycles_identical")),
+)
 
 
 def _time_pipeline(graph, batch_size: int, mode: str, repeats: int = 5) -> float:
@@ -103,7 +107,7 @@ def _check_equivalence(graph, batch_size: int) -> Dict[str, bool]:
 
 
 def run(quick: bool = False) -> Dict:
-    """Execute the benchmark and return (and persist) the result document."""
+    """Execute the benchmark and return the result document."""
     results: List[Dict] = []
     for label, num_nodes, num_edges, batch_size in SCALES:
         if quick and num_edges > 100_000:
@@ -138,44 +142,21 @@ def run(quick: bool = False) -> Dict:
             )
         )
 
-    document = {
+    return {
         "benchmark": "perf_preprocessing",
         "quick": bool(quick),
         "results": results,
     }
-    RESULT_PATH.write_text(json.dumps(document, indent=2) + "\n")
-    print(f"\nresults written to {RESULT_PATH}")
-    return document
 
 
 def test_perf_preprocessing(benchmark):
     """Pytest-benchmark entry point (quick scales) with the acceptance gates."""
-    from common import run_once
-
-    document = run_once(benchmark, lambda: run(quick=True))
+    document = bench_test(benchmark, sys.modules[__name__])
     by_scale = {entry["scale"]: entry for entry in document["results"]}
     assert by_scale["100k"]["bit_exact"]
     assert by_scale["100k"]["cycles_identical"]
     assert by_scale["100k"]["speedup"] >= 10.0
 
 
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick", action="store_true", help="skip the 1M-edge scale (CI mode)"
-    )
-    args = parser.parse_args(argv)
-    document = run(quick=args.quick)
-    failures = [
-        entry["scale"]
-        for entry in document["results"]
-        if not entry.get("bit_exact", True) or not entry.get("cycles_identical", True)
-    ]
-    if failures:
-        print(f"EQUIVALENCE FAILURE at scales: {failures}", file=sys.stderr)
-        return 1
-    return 0
-
-
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(bench_main(sys.modules[__name__], "skip the 1M-edge scale (CI mode)"))
