@@ -8,7 +8,7 @@ documents (:func:`common.evaluate`; :class:`common.Gate` documents what a
 row checks).  A missing committed baseline fails its bench.
 
 ``--engine-million`` adds the fast-only 1M-request tier of
-``bench_engine_speed`` (~30 s): its chunked-vs-per-event speedup floor and
+``bench_engine_speed`` (~30 s): its chunked-vs-event-loop speedup floor and
 its machine-normalized wall-clock budget.
 
 Locally, restore the committed files afterwards with

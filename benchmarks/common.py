@@ -23,6 +23,7 @@ directly from a checkout needs no ``PYTHONPATH``.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import math
 import re
@@ -271,6 +272,26 @@ def closed_loop_overload(
 
 # ------------------------------------------------------------------ gates
 
+#: perfbench's harness, whose fixed calibration kernel is the one machine
+#: factor of the wall-clock budgets.
+PERFBENCH_RUN = REPO_ROOT / "perfbench" / "run.py"
+
+
+def calibration():
+    """A fresh ``Calibration`` kernel from ``perfbench/run.py``.
+
+    Half interpreter dict work, half numpy sort and unique; no serving or
+    preprocessing code runs in it, so no change to the program makes it
+    faster and it measures only the machine.  ``sample()`` times one pass
+    and appends it to ``samples``.  The module is loaded by path and only
+    read.
+    """
+    spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH_RUN)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.Calibration()
+
+
 #: Relative floor: a fresh ratio must reach this fraction of the committed
 #: one.  Relative tolerances absorb CI-runner noise; the absolute floors
 #: catch a fast path that was quietly disabled altogether.
@@ -287,8 +308,8 @@ class Gate:
 
     ``metric`` is a dotted path into the document.  With ``per`` set, the
     row applies to every entry of the document's ``results`` list (entries
-    are matched across documents by their ``per`` key), and ``metric``,
-    ``normalizer`` and ``require`` are paths inside one entry.
+    are matched across documents by their ``per`` key), and ``metric`` and
+    ``require`` are paths inside one entry.
 
     * A ratio row passes when the fresh value is at least ``floor`` (a
       number, or a mapping from ``per`` key to number) and, against a
@@ -297,8 +318,9 @@ class Gate:
     * A wall-clock row (``normalizer`` set) passes when the fresh seconds
       are at most ``ceiling`` and, against a committed document, at most
       ``WALL_TOLERANCE x machine x committed``.  ``machine`` is fresh over
-      committed seconds of ``normalizer``, an unchanged simulation timed in
-      the same run, which divides out the speed of the machine.
+      committed seconds of ``normalizer``, a document-level path to a fixed
+      kernel timed in the same run (``calibration_seconds``, see
+      :func:`calibration`), which divides out the speed of the machine.
     * Every ``require`` path must be ``True`` in the fresh document; a
       ``per`` row checks it at every entry that carries it.
 
@@ -333,8 +355,11 @@ def lookup(document, path: str):
     return value
 
 
-def _check_row(label: str, gate: Gate, fresh: Dict, committed: Optional[Dict], key) -> List[str]:
-    """Evaluate one row on one document (or on one ``results`` entry)."""
+def _check_row(
+    label: str, gate: Gate, fresh: Dict, committed: Optional[Dict], key, machine: float
+) -> List[str]:
+    """Evaluate one row on one document (or on one ``results`` entry);
+    ``machine`` is the row's machine factor (wall-clock rows only)."""
     failures = []
     for path in gate.require:
         holds = lookup(fresh, path)
@@ -357,9 +382,6 @@ def _check_row(label: str, gate: Gate, fresh: Dict, committed: Optional[Dict], k
     if gate.normalizer is not None:
         bound = math.inf if gate.ceiling is None else gate.ceiling
         if baseline is not None:
-            machine = lookup(fresh, gate.normalizer) / max(
-                lookup(committed, gate.normalizer), 1e-12
-            )
             bound = min(bound, WALL_TOLERANCE * machine * baseline)
         ok, kind, relation = value <= bound, "budget", "above"
     else:
@@ -393,8 +415,18 @@ def evaluate(
     """
     failures: List[str] = []
     for gate in gates:
+        machine = 1.0
+        if gate.normalizer is not None and committed is not None:
+            norm = lookup(committed, gate.normalizer)
+            if norm is None or norm is MISSING:
+                failures.append(
+                    f"{name}: committed baseline has no {gate.normalizer} — "
+                    "regenerate and commit it"
+                )
+                continue
+            machine = lookup(fresh, gate.normalizer) / max(norm, 1e-12)
         if gate.per is None:
-            failures += _check_row(name, gate, fresh, committed, None)
+            failures += _check_row(name, gate, fresh, committed, None, machine)
             continue
         baseline = {} if committed is None else {
             entry[gate.per]: entry for entry in committed["results"]
@@ -402,7 +434,7 @@ def evaluate(
         for entry in fresh["results"]:
             key = entry[gate.per]
             failures += _check_row(
-                f"{name} {key}", gate, entry, baseline.get(key), key
+                f"{name} {key}", gate, entry, baseline.get(key), key, machine
             )
     return failures
 

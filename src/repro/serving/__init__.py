@@ -3,8 +3,8 @@
 This package lifts the reproduction from single-pass modelling to a served
 traffic regime:
 
-* :mod:`repro.serving.requests` — timestamped, tenant-tagged requests, the
-  request queue, open/closed-loop and burst/diurnal (:class:`BurstyArrivals`)
+* :mod:`repro.serving.requests` — timestamped, tenant-tagged requests and
+  traces, open/closed-loop and burst/diurnal (:class:`BurstyArrivals`)
   arrival generators over workload profiles, multi-tenant trace merging
   (:func:`merge_traces`) and the online arrival sources (trace replay,
   co-simulated closed-loop clients).
@@ -48,14 +48,15 @@ traffic regime:
   asserting request conservation, engine byte-identity, no dispatch onto
   dead or deactivated shards, retry-budget compliance and lease accounting
   on every run (``python -m repro.serving.chaos``).
-* :mod:`repro.serving.engine` — the serving loops, written once: an
-  offline replay and an online co-simulation, each run over a *shard lane*
-  that owns what the two engines differ in.  ``engine="reference"`` runs
-  the plain lane (busy-list scan, direct pricing, per-request records);
+* :mod:`repro.serving.engine` — the serving loops, written once: one
+  event loop for online co-simulation and for every offline replay the
+  chunked loop cannot take, run over a *shard lane* that owns what the two
+  engines differ in.  ``engine="reference"`` runs the plain lane
+  (busy-list scan, direct pricing, per-request records);
   ``engine="fast"`` (the default) runs the indexed lane (shard heap,
-  serve-transition caching, streaming report aggregates) plus an
-  array-native offline replay, byte-identical to the reference and >= 5x
-  faster on 20k-request traces (100k requests in seconds).
+  serve-transition caching, streaming report aggregates) plus the
+  array-native chunked offline replay, byte-identical to the reference and
+  >= 5x faster on 20k-request traces (100k requests in seconds).
 """
 
 from repro.serving.requests import (
@@ -65,7 +66,6 @@ from repro.serving.requests import (
     ClosedLoopClients,
     InferenceRequest,
     OpenLoopArrivals,
-    RequestQueue,
     RequestTrace,
     TraceArrays,
     TraceArrivals,
@@ -135,7 +135,6 @@ __all__ = [
     "InferenceRequest",
     "RequestTrace",
     "TraceArrays",
-    "RequestQueue",
     "DEFAULT_TENANT",
     "OpenLoopArrivals",
     "ClosedLoopArrivals",

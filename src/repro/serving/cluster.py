@@ -7,9 +7,11 @@ configuration, reconfiguration history — via ``GNNService.replicate``) and
 serves traffic in one of two modes (the event loops themselves live in
 :mod:`repro.serving.engine`):
 
-* :meth:`ShardedServiceCluster.serve_trace` — offline replay: a complete
-  :class:`~repro.serving.requests.RequestTrace` is batched up front by the
-  :class:`~repro.serving.scheduler.BatchScheduler` and the batches are
+* :meth:`ShardedServiceCluster.serve_trace` — offline replay of a complete
+  :class:`~repro.serving.requests.RequestTrace`: batched up front by the
+  :class:`~repro.serving.scheduler.BatchScheduler` plan when the fast
+  engine's chunked loop can take it, otherwise replayed through the online
+  event loop with no control plane attached; either way the batches are
   dispatched in the order they close.
 * :meth:`ShardedServiceCluster.serve_online` — online co-simulation: an
   arrival *source* (:class:`~repro.serving.requests.TraceArrivals` or the
@@ -783,12 +785,19 @@ class ShardedServiceCluster:
         the run's options: an SLO only scores the run's goodput section
         (the offline path never sheds); a fault schedule injects shard
         crash/recover/slowdown events — doomed batches migrate to
-        survivors, in-flight failures retry with backoff (each retry goes
-        out as its own batch), and the report carries a faults section;
+        survivors, in-flight failures retry with backoff into the open
+        batches, and the report carries a faults section;
         ``engine`` / ``tenant_weights`` / ``topology`` / ``placement``
         override the cluster's own choices for this run.  Admission
         control, degradation and autoscaling are online-only and rejected
-        here.  The loop itself lives in :mod:`repro.serving.engine`.
+        here.
+
+        The fast engine replays a fault-free, FIFO-batched trace through
+        the array-native chunked loop; every other replay runs the event
+        loop of :meth:`serve_online` over
+        :class:`~repro.serving.requests.TraceArrivals` with no control
+        plane attached, so it is byte-identical to that online replay.
+        Both loops live in :mod:`repro.serving.engine`.
         """
         from repro.serving.config import ServingConfig
         from repro.serving.engine import serve_trace
@@ -823,8 +832,7 @@ class ShardedServiceCluster:
         topology overrides.
 
         The loop interleaves arrivals and batch-timeout deadlines in
-        simulated-time order (ties fire the deadline first, matching the
-        offline scheduler), and batches close under the same
+        simulated-time order (ties fire the deadline first), and batches close under the same
         size-or-timeout policy as :class:`BatchScheduler`.  At every
         arrival the control plane hooks run in order:
 

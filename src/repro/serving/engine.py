@@ -1,16 +1,20 @@
-"""Serving engines: one event loop per serving mode over two shard lanes.
+"""Serving engines: two serving loops over two shard lanes.
 
 :class:`~repro.serving.cluster.ShardedServiceCluster` serves traffic through
 the loops in this module, each written once for both engines:
 
-* :func:`serve_trace` — offline replay: the scheduler plans the batches up
-  front and they dispatch in the order they close, with fault events and
-  retries settled in between by the shared
-  :class:`~repro.serving.faults.FaultRuntime`.
-* :func:`serve_online` — online co-simulation: drain commits, fault events,
+* :func:`serve_online` — the event loop: drain commits, fault events,
   batch deadlines, retries and arrivals interleave in simulated-time order
-  (in that precedence at ties), and the control plane — autoscaling and
-  admission — hooks into every arrival.
+  (in that precedence at ties), dispatch goes through the shared
+  :class:`~repro.serving.faults.FaultRuntime` under a fault schedule, and
+  the control plane — autoscaling and admission — hooks into every
+  arrival.  Offline replay (:func:`serve_trace`) runs through this loop
+  over :class:`~repro.serving.requests.TraceArrivals` with no control
+  plane attached whenever the chunked loop cannot take it: the reference
+  engine, a fault schedule or fair-mode batching.
+* :func:`_serve_trace_chunked` — the fast engine's array-native offline
+  replay: with no fault schedule and no fair-mode batching the whole batch
+  plan is known up front, so only the dispatch decisions run per batch.
 
 A *shard lane* owns the three things the engines differ in, plus the
 per-run shard state both keep (busy horizons, utilisation, served records):
@@ -37,10 +41,6 @@ would, a cached transition replays exactly the report and end state a
 fresh pass produces, and every float that lands in a report goes through
 the same expression in the same order (the golden suite compares rendered
 JSON bytes).
-
-The fast engine's offline replay runs array-native when it can
-(:func:`_serve_trace_chunked`): no fault schedule and no fair-mode
-batching, so the whole batch plan is known up front.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ from repro.serving.cluster import (
     _home_shard,
 )
 from repro.serving.faults import DrainPlanner, FaultSchedule, due
-from repro.serving.requests import InferenceRequest, RequestTrace
+from repro.serving.requests import InferenceRequest, RequestTrace, TraceArrivals
 from repro.serving.scheduler import RequestBatch
 from repro.system.workload import QUALITY_DEGRADED, WorkloadProfile
 
@@ -438,10 +438,6 @@ class PlainLane:
         self.notify_complete: Optional[Callable[[RequestBatch, float], None]] = None
         self.notify_failed: Optional[Callable[[InferenceRequest, float], None]] = None
 
-    def schedule(self, trace: RequestTrace) -> List[RequestBatch]:
-        """The offline batch plan."""
-        return self.cluster.scheduler.schedule(trace)
-
     # ----------------------------------------------------- FaultLoopHooks
     def active_ids(self) -> Sequence[int]:
         order = self.cluster._order
@@ -583,9 +579,6 @@ class IndexedLane(PlainLane):
         self.busy_until = self.heap.busy
         self.accumulator = _RunAccumulator(slo)
         self._merged_cache: Dict[tuple, WorkloadProfile] = {}
-
-    def schedule(self, trace: RequestTrace) -> List[RequestBatch]:
-        return self.cluster.scheduler.schedule_fast(trace)
 
     def set_busy(self, shard_id: int, seconds: float) -> None:
         self.heap.update(shard_id, seconds)
@@ -744,8 +737,9 @@ def _serve_trace_chunked(
 
     Byte-identity with the event loop is by construction:
 
-    * batches come from the same :meth:`BatchScheduler.schedule_arrays` plan
-      the event loop's ``schedule_fast`` wraps,
+    * :meth:`BatchScheduler.schedule_arrays` forms the batches the online
+      batcher closes, in the order the event loop dispatches them (the
+      batch-plan suite pins this against a sweep of the batcher),
     * every float lands through the same scalar expression shape
       (elementwise ``(batching + dispatch) + service``, broadcast of the
       per-batch ``start - ready``), and
@@ -754,8 +748,8 @@ def _serve_trace_chunked(
 
     Callers gate on eligibility: no fault schedule and no fair-mode
     scheduler (both make the next event state-dependent in ways the plan
-    cannot precompute), otherwise ``serve_trace_fast`` degrades to the
-    per-event loop.
+    cannot precompute), otherwise ``serve_trace_fast`` replays through the
+    event loop.
     """
     cluster._reset_dispatch_state()
     arrays = trace.arrays()
@@ -913,7 +907,7 @@ def serve_trace(
     """Offline replay on the cluster's engine (``serve_trace``'s loop)."""
     if cluster.engine == ENGINE_FAST:
         return serve_trace_fast(cluster, trace, slo, faults)
-    return _replay(PlainLane(cluster, slo), trace, faults)
+    return serve_online(cluster, TraceArrivals(trace), slo, None, None, faults)
 
 
 def serve_trace_fast(
@@ -926,12 +920,12 @@ def serve_trace_fast(
     """Fast offline replay — the ``engine="fast"`` path of ``serve_trace``.
 
     ``chunked`` selects the array-native loop (:func:`_serve_trace_chunked`)
-    over the per-event one; the default ``None`` auto-enables it whenever
-    the run is eligible — no fault schedule, no fair-mode scheduler, a
-    non-empty trace — and degrades gracefully to the per-event loop
-    otherwise.  Both paths produce byte-identical reports; ``chunked=False``
-    forces the per-event loop (the equivalence suite and the speed benchmark
-    compare the two)."""
+    over the event loop; the default ``None`` auto-enables it whenever the
+    run is eligible — no fault schedule, no fair-mode scheduler, a non-empty
+    trace — and otherwise replays the trace through :func:`serve_online`
+    with no control plane attached.  Both paths produce byte-identical
+    reports; ``chunked=False`` forces the event loop (the equivalence suite
+    and the speed benchmark compare the two)."""
     if chunked is None:
         chunked = faults is None and not cluster.scheduler.fair and len(trace) > 0
     if chunked:
@@ -940,34 +934,10 @@ def serve_trace_fast(
         if cluster.scheduler.fair:
             raise ValueError("chunked replay does not support fair-mode batching")
         return _serve_trace_chunked(cluster, trace, slo)
-    return _replay(IndexedLane(cluster, slo), trace, faults)
+    return serve_online(cluster, TraceArrivals(trace), slo, None, None, faults)
 
 
-def _replay(
-    lane: PlainLane, trace: RequestTrace, faults: Optional[FaultSchedule]
-) -> ClusterReport:
-    """The per-event offline loop over either lane."""
-    cluster = lane.cluster
-    batches = lane.schedule(trace)
-    first_arrival = trace[0].arrival_seconds
-    fault_stats = None
-    if faults is None:
-        for batch in batches:
-            lane.dispatch(batch)
-    else:
-        ctx = faults.runtime(
-            cluster.num_shards, lane.slo, order=cluster._order, topology=cluster.topology
-        )
-        for batch in batches:
-            ctx.step(lane, batch)
-        ctx.drain(lane)
-        fault_stats = ctx.finalize(first_arrival, lane.last_finish)
-    # A faulted replay can fail every request; an empty run has no span.
-    makespan = lane.last_finish - first_arrival if lane.served else 0.0
-    return lane.report(makespan, faults=fault_stats)
-
-
-# ---------------------------------------------------------------------- online
+# ------------------------------------------------------------------ event loop
 def serve_online(
     cluster: "ShardedServiceCluster",
     source,
@@ -976,8 +946,8 @@ def serve_online(
     autoscaler: Optional["Autoscaler"],
     faults: Optional[FaultSchedule],
 ) -> ClusterReport:
-    """The online co-simulation loop (``serve_online``'s loop) on the
-    cluster's engine.
+    """The event loop of ``serve_online`` — and of every offline replay the
+    chunked loop cannot take — on the cluster's engine.
 
     Batches form through the scheduler's online batcher (FIFO deadline
     heap or weighted-fair), the autoscaler's queue depth is a running

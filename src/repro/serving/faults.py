@@ -78,11 +78,10 @@ DOMAIN_FAULT_KINDS = (FAULT_CRASH_DOMAIN, FAULT_RECOVER_DOMAIN)
 def due(when: Optional[float], *others: Optional[float]) -> bool:
     """True when ``when`` is scheduled and no later than every other horizon.
 
-    The online loop ranks its event sources (drain commit, fault, batch
-    deadline, retry, arrival) with this one predicate, and the offline
-    fault replay ranks faults before retries the same way: a source fires
-    when it is due and every source ranked after it is either exhausted or
-    no earlier.
+    The event loop ranks its event sources (drain commit, fault, batch
+    deadline, retry, arrival) with this one predicate: a source fires when
+    it is due and every source ranked after it is either exhausted or no
+    earlier.
     """
     if when is None:
         return False
@@ -1087,39 +1086,6 @@ class FaultRuntime:
             )
             if self.slo is None or sojourn <= self.slo.slo_for(request.workload, request.tenant):
                 self.slo_met_degraded += 1
-
-    # -------------------------------------------------------- offline replay
-    def _settle(self, env: FaultLoopHooks, until: Optional[float]) -> None:
-        """Apply fault events and retries due by ``until`` (None: all).
-
-        One event timestamp at a time, fault events before retries at a
-        tie — the online loop's order — so parked work flushes after each
-        event instead of once after a whole run of them.  A retry goes out
-        as a singleton batch: offline there are no open batches to rejoin.
-        """
-        while True:
-            t_fault = self.next_fault_time()
-            t_retry = self.next_retry_time()
-            if until is not None:
-                t_fault = t_fault if t_fault is not None and t_fault <= until else None
-                t_retry = t_retry if t_retry is not None and t_retry <= until else None
-            if due(t_fault, t_retry):
-                self.advance(env, t_fault)
-            elif t_retry is not None:
-                request, at = self.pop_retry()
-                self.dispatch(RequestBatch(requests=[request], ready_seconds=at), env)
-            else:
-                return
-
-    def step(self, env: FaultLoopHooks, batch: RequestBatch) -> None:
-        """Offline replay: settle every fault event and retry due by the
-        time ``batch`` closes, then dispatch it."""
-        self._settle(env, batch.ready_seconds)
-        self.dispatch(batch, env)
-
-    def drain(self, env: FaultLoopHooks) -> None:
-        """Settle all remaining retries and fault events after the last batch."""
-        self._settle(env, None)
 
     # -------------------------------------------------------------- summary
     def finalize(self, first_arrival: Optional[float], last_finish: float) -> FaultStats:

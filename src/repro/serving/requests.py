@@ -1,4 +1,4 @@
-"""Timestamped inference requests, the request queue and arrival generators.
+"""Timestamped inference requests, request traces and arrival generators.
 
 The serving layer models traffic instead of a bare workload list: every
 :class:`InferenceRequest` carries a simulated arrival timestamp, a
@@ -8,8 +8,8 @@ into a trace either open-loop (requests arrive at a fixed offered rate, no
 matter how the service keeps up) or closed-loop (a fixed client population
 issues the next request only after the previous one is estimated to finish).
 
-For the online event loop in :mod:`repro.serving.cluster` there are two
-arrival *sources*: :class:`TraceArrivals` replays a fixed trace, and
+For the event loop in :mod:`repro.serving.engine` there are two arrival
+*sources*: :class:`TraceArrivals` replays a fixed trace, and
 :class:`ClosedLoopClients` co-simulates a client population whose next
 arrivals are fed by the cluster's actual finish (or shed) times rather than
 an estimate.
@@ -399,60 +399,6 @@ class RequestTrace:
         )
 
 
-class RequestQueue:
-    """A time-ordered queue of pending inference requests.
-
-    Requests may be pushed in any order; the queue always pops the earliest
-    arrival first, and ``pop_ready`` drains every request that has arrived
-    by a given simulated time.  This is the online front-end of the serving
-    layer (a driver feeds arrivals in as they happen); the offline
-    :class:`~repro.serving.scheduler.BatchScheduler` replay path iterates a
-    complete :class:`RequestTrace` directly instead.
-    """
-
-    def __init__(self, requests: Optional[Sequence[InferenceRequest]] = None) -> None:
-        self._heap: List[tuple] = []
-        self._pushes = 0
-        for request in requests or ():
-            self.push(request)
-
-    def __len__(self) -> int:
-        return len(self._heap)
-
-    def __bool__(self) -> bool:
-        return bool(self._heap)
-
-    def push(self, request: InferenceRequest) -> None:
-        """Add a request (arrival timestamps need not be monotone).
-
-        Simultaneous arrivals (equal timestamps) pop in FIFO push order: the
-        tiebreaker is a per-queue push counter, never the request itself, so
-        duplicate ids or identical requests cannot raise a comparison error
-        and cannot reorder each other.
-        """
-        heapq.heappush(self._heap, (request.arrival_seconds, self._pushes, request))
-        self._pushes += 1
-
-    def peek_arrival(self) -> Optional[float]:
-        """Arrival time of the earliest pending request (None when empty)."""
-        if not self._heap:
-            return None
-        return self._heap[0][0]
-
-    def pop(self) -> InferenceRequest:
-        """Remove and return the earliest pending request."""
-        if not self._heap:
-            raise IndexError("pop from an empty RequestQueue")
-        return heapq.heappop(self._heap)[2]
-
-    def pop_ready(self, now_seconds: float) -> List[InferenceRequest]:
-        """Remove and return every request that has arrived by ``now_seconds``."""
-        ready: List[InferenceRequest] = []
-        while self._heap and self._heap[0][0] <= now_seconds:
-            ready.append(self.pop())
-        return ready
-
-
 def _workload_picks(
     workloads: Sequence[WorkloadProfile], rng: np.random.Generator, count: int
 ) -> np.ndarray:
@@ -579,26 +525,6 @@ class ClosedLoopArrivals:
             picks,
             tenant_pool=[self.tenant],
             tenant_index=np.zeros(num_requests, dtype=np.int64),
-        )
-
-    def co_simulated(
-        self, max_requests: int, retry_backoff_seconds: float = 0.0
-    ) -> "ClosedLoopClients":
-        """A co-simulated client population with this generator's parameters.
-
-        Unlike :meth:`trace`, the returned source is driven by the cluster's
-        event loop: each client issues its next request only after the loop
-        reports the previous one *actually* finished (or was shed), so no
-        service-time estimate is involved.
-        """
-        return ClosedLoopClients(
-            workloads=self.workloads,
-            num_clients=self.num_clients,
-            think_seconds=self.think_seconds,
-            seed=self.seed,
-            max_requests=max_requests,
-            retry_backoff_seconds=retry_backoff_seconds,
-            tenant=self.tenant,
         )
 
 

@@ -32,11 +32,11 @@ from repro.system.workload import WorkloadProfile
 class BatchPlan(NamedTuple):
     """Array-level batch formation result (the chunked engine's working set).
 
-    One row per batch, in dispatch order — the same ``(ready_seconds,
-    first request id)`` order :meth:`BatchScheduler.schedule` closes batches
-    in.  Member rows are *positions* into the trace's structure-of-arrays
-    view (:meth:`~repro.serving.requests.RequestTrace.arrays`), so a plan
-    never materializes request objects.
+    One row per batch, in dispatch order: the order in which the event
+    loop's batcher closes the same batches (ready times never decrease).
+    Member rows are *positions* into the trace's structure-of-arrays view
+    (:meth:`~repro.serving.requests.RequestTrace.arrays`), so a plan never
+    materializes request objects.
 
     Attributes:
         member_positions: int64 trace positions, concatenated per batch;
@@ -144,128 +144,24 @@ class BatchScheduler:
         """A fresh batch-formation state machine for one online run."""
         return TenantFairBatcher(self) if self.fair else FifoBatcher(self)
 
-    def schedule(self, trace: RequestTrace) -> List[RequestBatch]:
-        """Group the trace into batches, ordered by the time they close.
-
-        Deterministic: depends only on the trace and the scheduler's
-        parameters, never on cluster state, so the same trace produces the
-        same batches regardless of how many shards later serve them.  In
-        fair mode the batches come from :class:`TenantFairBatcher`, in
-        closure order (the same order the online loop dispatches).
-        """
-        if self.fair:
-            return self._schedule_fair(trace)
-        open_batches: Dict[Hashable, Tuple[List[InferenceRequest], float]] = {}
-        closed: List[RequestBatch] = []
-
-        def close(key: Hashable, ready_seconds: float) -> None:
-            members, _ = open_batches.pop(key)
-            closed.append(RequestBatch(requests=members, ready_seconds=ready_seconds))
-
-        for request in trace:
-            now = request.arrival_seconds
-            # Timers of batches whose deadline passed before this arrival fire
-            # first, in deadline order, so ready times stay monotone.
-            expired = sorted(
-                (deadline, key)
-                for key, (_, deadline) in open_batches.items()
-                if deadline <= now
-            )
-            for deadline, key in expired:
-                close(key, deadline)
-
-            key = request.workload.batch_key
-            if key not in open_batches:
-                open_batches[key] = ([], now + self.max_wait_seconds)
-            members, deadline = open_batches[key]
-            members.append(request)
-            if len(members) >= self.max_batch_size:
-                close(key, now)
-
-        # Remaining batches wait out their timers (the trace has ended, so no
-        # filler request can close them early).
-        for deadline, key in sorted(
-            (deadline, key) for key, (_, deadline) in open_batches.items()
-        ):
-            close(key, deadline)
-
-        closed.sort(key=lambda batch: (batch.ready_seconds, batch.requests[0].request_id))
-        return closed
-
-    def _schedule_fair(self, trace: RequestTrace) -> List[RequestBatch]:
-        """Offline fair-mode scheduling: drive the batcher over the trace.
-
-        Event order matches the online loop exactly — deadlines at or
-        before an arrival fire first — so an uncontrolled online replay of
-        the same trace forms identical batches.
-        """
-        batcher = TenantFairBatcher(self)
-        closed: List[RequestBatch] = []
-        for request in trace:
-            now = request.arrival_seconds
-            while True:
-                expiring = batcher.peek_deadline()
-                if expiring is None or expiring[0] > now:
-                    break
-                closed.extend(batcher.fire_deadline(expiring))
-            closed.extend(batcher.add(request, now))
-        while True:
-            expiring = batcher.peek_deadline()
-            if expiring is None:
-                break
-            closed.extend(batcher.fire_deadline(expiring))
-        return closed
-
-    def schedule_fast(self, trace: RequestTrace) -> List[RequestBatch]:
-        """Array-level batch formation, equivalent to :meth:`schedule`.
-
-        A thin object-materializing wrapper over :meth:`schedule_arrays`:
-        the plan computes membership and ready times on the trace's SoA
-        view, and this method builds the :class:`RequestBatch` objects the
-        per-event engine dispatches.  Because the chunked engine consumes
-        the *same* plan directly, the two fast paths cannot form different
-        batches — and the reference/fast equivalence suite asserts
-        batch-for-batch equality against :meth:`schedule`.
-
-        Fair mode has no array-level fast path (membership depends on the
-        deficit state, not just per-key arrival order), so it delegates to
-        the shared batcher sweep — both engines then run the identical
-        code, which keeps them byte-identical by construction.
-        """
-        if self.fair:
-            return self._schedule_fair(trace)
-        plan = self.schedule_arrays(trace)
-        requests = trace.requests
-        positions = plan.member_positions.tolist()
-        offsets = plan.batch_offsets.tolist()
-        ready = plan.ready_seconds.tolist()
-        return [
-            RequestBatch(
-                requests=[requests[p] for p in positions[offsets[b]:offsets[b + 1]]],
-                ready_seconds=ready[b],
-            )
-            for b in range(len(ready))
-        ]
-
     def schedule_arrays(self, trace: RequestTrace) -> BatchPlan:
         """Batch formation on the trace's SoA view, no request objects.
 
-        The array-level core behind :meth:`schedule_fast` and the chunked
-        serving engine: batch membership under the size-or-timeout policy is
-        independent per compatibility key, so each key's arrival
-        subsequence chunks greedily — a batch opened at ``t0`` absorbs
-        same-key arrivals strictly before ``t0 + max_wait_seconds`` (an
-        arrival exactly at the deadline fires the timer first and starts
-        the next batch, the event loop's tie-break) up to
-        ``max_batch_size``, closing at the filling member's arrival or at
-        the deadline.  Each chunk boundary is one bisection *from the
+        The batch plan of the chunked serving engine: batch membership
+        under the size-or-timeout policy is independent per compatibility
+        key, so each key's arrival subsequence chunks greedily — a batch
+        opened at ``t0`` absorbs same-key arrivals strictly before ``t0 +
+        max_wait_seconds`` (an arrival exactly at the deadline fires the
+        timer first and starts the next batch, the event loop's tie-break)
+        up to ``max_batch_size``, closing at the filling member's arrival
+        or at the deadline.  Each chunk boundary is one bisection *from the
         chunk's start* (not over the key's whole timestamp array), and the
-        plan rows are sorted by the same ``(ready, first request id)``
-        order :meth:`schedule` produces.
+        plan rows are sorted into the order in which :class:`FifoBatcher`,
+        driven by the event loop, closes the same batches.
 
         Fair mode has no array-level path (membership depends on the
         deficit state, not just per-key arrival order) and raises; callers
-        gate on :attr:`fair` and fall back to the shared batcher sweep.
+        gate on :attr:`fair` and fall back to the event loop.
         """
         if self.fair:
             raise ValueError("schedule_arrays() does not support fair mode")
@@ -301,6 +197,7 @@ class BatchScheduler:
         batch_starts: List[int] = []
         batch_ends: List[int] = []
         ready_list: List[float] = []
+        filled_list: List[bool] = []
         for group_start, group_end in zip(group_starts, group_ends):
             times = arrivals[order[group_start:group_end]].tolist()
             count = group_end - group_start
@@ -314,7 +211,8 @@ class BatchScheduler:
                     # max_wait_seconds == 0: the opener always joins its own
                     # batch before the timer can fire.
                     boundary = start + 1
-                if boundary - start >= cap:
+                filled = boundary - start >= cap
+                if filled:
                     end = start + cap
                     ready = times[end - 1]
                 else:
@@ -323,16 +221,29 @@ class BatchScheduler:
                 batch_starts.append(group_start + start)
                 batch_ends.append(group_start + end)
                 ready_list.append(ready)
+                filled_list.append(filled)
                 start = end
 
         starts = np.asarray(batch_starts, dtype=np.int64)
         ends = np.asarray(batch_ends, dtype=np.int64)
         ready_seconds = np.asarray(ready_list, dtype=np.float64)
+        filled = np.asarray(filled_list, dtype=bool)
         first_positions = order[starts] if len(starts) else starts
         first_ids = arrays.request_ids[first_positions]
-        # Dispatch order: (ready, first request id) — ids are unique, so the
-        # sort is total and matches the event loop's closure order.
-        dispatch = np.lexsort((first_ids, ready_seconds))
+        # Dispatch order is the event loop's closure order.  A filled batch
+        # closes while its last member is added; a timed-out batch fires
+        # just before the first later arrival at or past its deadline (or
+        # after the last arrival), ahead of that arrival's own close, and
+        # timers firing together go in (deadline, first request id) order.
+        last_positions = order[ends - 1] if len(ends) else ends
+        step = np.where(
+            filled,
+            last_positions,
+            np.maximum(
+                np.searchsorted(arrivals, ready_seconds, side="left"), last_positions + 1
+            ),
+        )
+        dispatch = np.lexsort((first_ids, ready_seconds, filled, step))
         starts, ends, ready_seconds = starts[dispatch], ends[dispatch], ready_seconds[dispatch]
         counts = ends - starts
         offsets = np.zeros(len(counts) + 1, dtype=np.int64)
@@ -362,13 +273,13 @@ class BatchScheduler:
 class FifoBatcher:
     """First-come, first-served size-or-timeout batch formation for one run.
 
-    The online counterpart of :meth:`BatchScheduler.schedule`, with the
-    event interface of :class:`TenantFairBatcher` so the online loop drives
-    either one.  Open batches expire through a heap of ``(deadline, first
-    member id, key)`` entries with lazy invalidation: :meth:`peek_deadline`
-    returns what ``min`` over the open batches by ``(deadline, first member
-    id)`` would — ties fire in the offline scheduler's dispatch order —
-    without scanning every open batch.
+    The per-event counterpart of :meth:`BatchScheduler.schedule_arrays`,
+    with the event interface of :class:`TenantFairBatcher` so the event
+    loop drives either one.  Open batches expire through a heap of
+    ``(deadline, first member id, key)`` entries with lazy invalidation:
+    :meth:`peek_deadline` returns what ``min`` over the open batches by
+    ``(deadline, first member id)`` would — simultaneous timers fire in
+    first-member-id order — without scanning every open batch.
     """
 
     __slots__ = ("cap", "wait", "_members", "_deadline", "_heap", "pending_count")
@@ -466,8 +377,8 @@ class TenantFairBatcher:
     A reseeded batch that fills to the cap closes immediately at the same
     instant and cascades.
 
-    Everything is event-local and deterministic, so the offline scheduler
-    sweep and the online loop drive one identical state machine.
+    Everything is event-local and deterministic: offline fair-mode replay
+    and online serving drive it through the same event loop.
     """
 
     def __init__(self, scheduler: BatchScheduler) -> None:

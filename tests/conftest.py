@@ -10,6 +10,7 @@ CI pipeline selects with ``--hypothesis-profile=ci``.
 from __future__ import annotations
 
 import os
+from typing import List
 
 import pytest
 from hypothesis import HealthCheck, settings
@@ -23,6 +24,7 @@ from repro.serving import (
     BurstyArrivals,
     InferenceRequest,
     OpenLoopArrivals,
+    RequestBatch,
     RequestTrace,
     ShardedServiceCluster,
     merge_traces,
@@ -60,6 +62,45 @@ def zero_gap_trace(workloads) -> RequestTrace:
             for i, w in enumerate(workloads)
         ]
     )
+
+
+def sweep_batches(scheduler: BatchScheduler, trace) -> List[RequestBatch]:
+    """The batches the event loop closes over ``trace``, in dispatch order.
+
+    Drives ``scheduler.online_batcher()`` (FIFO or weighted-fair) over the
+    trace in the event loop's order — deadlines due at or before an arrival
+    fire first — and then fires the deadlines still open.  This is the
+    oracle for the chunked loop's array-level batch plan.
+    """
+    batcher = scheduler.online_batcher()
+    closed: List[RequestBatch] = []
+    for request in trace:
+        now = request.arrival_seconds
+        expiring = batcher.peek_deadline()
+        while expiring is not None and expiring[0] <= now:
+            closed.extend(batcher.fire_deadline(expiring))
+            expiring = batcher.peek_deadline()
+        closed.extend(batcher.add(request, now))
+    expiring = batcher.peek_deadline()
+    while expiring is not None:
+        closed.extend(batcher.fire_deadline(expiring))
+        expiring = batcher.peek_deadline()
+    return closed
+
+
+def plan_batches(scheduler: BatchScheduler, trace) -> List[RequestBatch]:
+    """``scheduler.schedule_arrays(trace)`` materialized as request batches."""
+    plan = scheduler.schedule_arrays(trace)
+    requests = trace.requests
+    offsets = plan.batch_offsets.tolist()
+    positions = plan.member_positions.tolist()
+    return [
+        RequestBatch(
+            requests=[requests[p] for p in positions[offsets[b]:offsets[b + 1]]],
+            ready_seconds=ready,
+        )
+        for b, ready in enumerate(plan.ready_seconds.tolist())
+    ]
 
 
 #: Small pool of distinct serving workloads shared by the property suites.

@@ -1,18 +1,19 @@
-"""Batch-formation boundary conditions: ``schedule`` vs the array-level plan.
+"""Batch-formation boundary conditions: the event loop's batcher vs the
+array-level plan.
 
-The chunked engine consumes :meth:`BatchScheduler.schedule_arrays` directly
-and ``schedule_fast`` is a thin wrapper over it, so a tie-break divergence
-from the reference ``schedule`` sweep would silently skew *every* fast-engine
+The chunked engine consumes :meth:`BatchScheduler.schedule_arrays` directly,
+while the event loop closes batches through ``online_batcher()``, so a
+tie-break divergence between the two would silently skew *every* chunked
 run.  These tests pin the boundaries where such a bug would first appear:
 ``max_wait_seconds=0`` (the opener-joins-own-batch clamp), duplicated
 arrival timestamps, an arrival exactly on a batching deadline (timer fires
-first), and a batch filling to the cap on the same tick its deadline
-expires.
+first), a batch filling to the cap on the same tick its deadline expires,
+and two batches filling on the same tick.
 """
 
 import numpy as np
 import pytest
-from conftest import make_profile
+from conftest import make_profile, plan_batches, sweep_batches
 from hypothesis import given, settings, strategies as st
 
 from repro.serving import BatchScheduler, InferenceRequest, RequestTrace
@@ -28,8 +29,8 @@ def _trace(arrivals, workloads):
 
 
 def _assert_same_batches(scheduler, trace):
-    reference = scheduler.schedule(trace)
-    fast = scheduler.schedule_fast(trace)
+    reference = sweep_batches(scheduler, trace)
+    fast = plan_batches(scheduler, trace)
     assert len(reference) == len(fast)
     for ref_batch, fast_batch in zip(reference, fast):
         assert ref_batch.ready_seconds == fast_batch.ready_seconds
@@ -45,7 +46,7 @@ class TestBoundaryPins:
         scheduler = BatchScheduler(max_batch_size=4, max_wait_seconds=0.0)
         trace = _trace([0.0, 0.0, 0.0, 1.0, 1.0], [w] * 5)
         _assert_same_batches(scheduler, trace)
-        batches = scheduler.schedule_fast(trace)
+        batches = plan_batches(scheduler, trace)
         assert [len(b) for b in batches] == [1, 1, 1, 1, 1]
 
     def test_zero_wait_cap_one(self):
@@ -60,7 +61,7 @@ class TestBoundaryPins:
         scheduler = BatchScheduler(max_batch_size=4, max_wait_seconds=0.005)
         trace = _trace([0.0, 0.003, 0.005, 0.006], [w] * 4)
         _assert_same_batches(scheduler, trace)
-        batches = scheduler.schedule_fast(trace)
+        batches = plan_batches(scheduler, trace)
         assert [len(b) for b in batches] == [2, 2]
         assert batches[0].ready_seconds == 0.005
         assert [r.request_id for r in batches[1].requests] == [2, 3]
@@ -71,7 +72,7 @@ class TestBoundaryPins:
         scheduler = BatchScheduler(max_batch_size=3, max_wait_seconds=0.010)
         trace = _trace([0.0, 0.004, 0.008, 0.009], [w] * 4)
         _assert_same_batches(scheduler, trace)
-        batches = scheduler.schedule_fast(trace)
+        batches = plan_batches(scheduler, trace)
         # Cap closes at the filling member's arrival, not the deadline.
         assert batches[0].ready_seconds == 0.008
         assert len(batches[0]) == 3
@@ -82,9 +83,22 @@ class TestBoundaryPins:
         scheduler = BatchScheduler(max_batch_size=2, max_wait_seconds=0.005)
         trace = _trace([0.0, 0.002, 0.005, 0.0055], [w] * 4)
         _assert_same_batches(scheduler, trace)
-        batches = scheduler.schedule_fast(trace)
+        batches = plan_batches(scheduler, trace)
         assert batches[0].ready_seconds == 0.002
         assert len(batches[0]) == 2
+
+    def test_same_tick_fills_close_in_filling_order(self):
+        """Two keys filled on one tick close in the order of the filling
+        arrivals, not by first member id (the event loop's order)."""
+        a, b = make_profile("a"), make_profile("b", batch_size=7)
+        scheduler = BatchScheduler(max_batch_size=2, max_wait_seconds=0.01)
+        trace = _trace([0.0, 0.001, 0.002, 0.002], [a, b, b, a])
+        _assert_same_batches(scheduler, trace)
+        batches = plan_batches(scheduler, trace)
+        assert [[r.request_id for r in batch.requests] for batch in batches] == [
+            [1, 2],
+            [0, 3],
+        ]
 
     def test_duplicate_arrivals_split_across_keys(self):
         a, b = make_profile("a"), make_profile("b", batch_size=7)

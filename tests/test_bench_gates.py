@@ -20,17 +20,17 @@ import check_perf_regression  # noqa: E402
 from common import MISSING, Gate, check_against_baseline, evaluate, lookup  # noqa: E402
 
 RATIO = (Gate("ratio", floor=1.5),)
-WALL = (Gate("fast_seconds", per="scale", normalizer="reference_seconds"),)
-TIER = (Gate("tier.seconds", normalizer="tier.norm", ceiling=60.0),)
+WALL = (Gate("fast_seconds", per="scale", normalizer="calibration_seconds"),)
+TIER = (Gate("tier.seconds", normalizer="calibration_seconds", ceiling=60.0),)
 
 
-def _scale(**entry):
-    return {"results": [{"scale": 5000, **entry}]}
+def _scale(calibration=0.04, **entry):
+    return {"calibration_seconds": calibration, "results": [{"scale": 5000, **entry}]}
 
 
 def test_pass_at_equality():
     assert evaluate("b", RATIO, {"ratio": 2.0}, {"ratio": 2.0}) == []
-    committed = _scale(fast_seconds=1.0, reference_seconds=10.0)
+    committed = _scale(fast_seconds=1.0)
     assert evaluate("e", WALL, committed, committed) == []
 
 
@@ -62,25 +62,42 @@ def test_per_scale_floors_come_from_the_mapping():
 
 
 def test_machine_normalized_wall_budget():
-    committed = _scale(fast_seconds=1.0, reference_seconds=10.0)
-    # A machine half as fast: budget = 1.2 x (20 / 10) x 1.0 = 2.4 s.
-    assert evaluate("e", WALL, _scale(fast_seconds=2.3, reference_seconds=20.0), committed) == []
-    failures = evaluate("e", WALL, _scale(fast_seconds=2.5, reference_seconds=20.0), committed)
+    committed = _scale(fast_seconds=1.0, calibration=0.04)
+    # A machine half as fast: budget = 1.2 x (0.08 / 0.04) x 1.0 = 2.4 s.
+    assert evaluate("e", WALL, _scale(fast_seconds=2.3, calibration=0.08), committed) == []
+    failures = evaluate("e", WALL, _scale(fast_seconds=2.5, calibration=0.08), committed)
     assert failures == ["e 5000: fast_seconds 2.500 above budget 2.400 (committed 1.000)"]
     # At the committing machine's speed the budget is 1.2 s.
-    assert evaluate("e", WALL, _scale(fast_seconds=1.3, reference_seconds=10.0), committed)
+    assert evaluate("e", WALL, _scale(fast_seconds=1.3, calibration=0.04), committed)
+
+
+def test_calibration_normalizer_ignores_the_other_loops():
+    # The budget follows the document-level calibration time only: a faster
+    # or slower loop elsewhere in the same entry leaves it where it was.
+    committed = _scale(fast_seconds=1.0, reference_seconds=10.0)
+    for reference_seconds in (2.0, 50.0):
+        fresh = _scale(fast_seconds=1.3, reference_seconds=reference_seconds)
+        assert evaluate("e", WALL, fresh, committed) == [
+            "e 5000: fast_seconds 1.300 above budget 1.200 (committed 1.000)"
+        ]
+    # A committed document without the calibration time cannot be gated.
+    stale = {"results": [{"scale": 5000, "fast_seconds": 1.0}]}
+    failures = evaluate("e", WALL, _scale(fast_seconds=1.0), stale)
+    assert failures == [
+        "e: committed baseline has no calibration_seconds — regenerate and commit it"
+    ]
 
 
 def test_wall_ceiling_and_skipped_tier():
-    assert evaluate("e", TIER, {"tier": {"seconds": 59.0, "norm": 9.0}}) == []
-    assert evaluate("e", TIER, {"tier": {"seconds": 61.0, "norm": 9.0}}) == [
+    assert evaluate("e", TIER, {"calibration_seconds": 0.04, "tier": {"seconds": 59.0}}) == []
+    assert evaluate("e", TIER, {"calibration_seconds": 0.04, "tier": {"seconds": 61.0}}) == [
         "e: tier.seconds 61.000 above budget 60.000"
     ]
     # A null section is a tier the run skipped: reported, not failed.
-    committed = {"tier": {"seconds": 1.0, "norm": 9.0}}
-    assert evaluate("e", TIER, {"tier": None}, committed) == []
+    committed = {"calibration_seconds": 0.04, "tier": {"seconds": 1.0}}
+    assert evaluate("e", TIER, {"calibration_seconds": 0.04, "tier": None}, committed) == []
     # ... but a committed baseline without the tier fails when it runs.
-    failures = evaluate("e", TIER, committed, {"tier": None})
+    failures = evaluate("e", TIER, committed, {"calibration_seconds": 0.04, "tier": None})
     assert failures and "committed baseline has no tier.seconds" in failures[0]
 
 
@@ -126,9 +143,13 @@ def test_every_committed_document_has_resolving_gate_rows():
         document = json.loads(path.read_text())
         for gate in module.GATES:
             entries = document["results"] if gate.per else [document]
-            for sub in filter(None, (gate.metric, gate.normalizer)):
-                values = [lookup(entry, sub) for entry in entries]
-                assert all(v is not None and v is not MISSING for v in values), (path.name, sub)
+            values = [lookup(entry, gate.metric) for entry in entries]
+            assert all(v is not None and v is not MISSING for v in values), (
+                path.name, gate.metric
+            )
+            if gate.normalizer is not None:
+                norm = lookup(document, gate.normalizer)
+                assert norm is not None and norm is not MISSING, (path.name, gate.normalizer)
             for sub in gate.require:
                 values = [lookup(entry, sub) for entry in entries]
                 assert any(v is True for v in values), (path.name, sub)

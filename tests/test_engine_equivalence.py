@@ -17,6 +17,8 @@ from conftest import (
     WORKLOAD_POOL,
     make_bursty_tenant_trace,
     make_profile,
+    plan_batches,
+    sweep_batches,
 )
 from hypothesis import given, settings, strategies as st
 
@@ -450,6 +452,8 @@ class TestDegradationEquivalence:
 
 # ------------------------------------------------------- scheduler fast path
 class TestScheduleFastEquivalence:
+    """The chunked loop's array-level plan vs the event loop's batcher."""
+
     @settings(max_examples=25, deadline=None)
     @given(
         num_requests=st.integers(min_value=1, max_value=60),
@@ -467,13 +471,18 @@ class TestScheduleFastEquivalence:
         scheduler = BatchScheduler(
             max_batch_size=max_batch_size, max_wait_seconds=max_wait_ms * 1e-3
         )
-        reference = scheduler.schedule(trace)
-        fast = scheduler.schedule_fast(trace)
+        reference = sweep_batches(scheduler, trace)
+        fast = plan_batches(scheduler, trace)
+        plan = scheduler.schedule_arrays(trace)
+        pool = trace.arrays().workload_pool
         assert len(reference) == len(fast)
-        for ref_batch, fast_batch in zip(reference, fast):
+        for b, (ref_batch, fast_batch) in enumerate(zip(reference, fast)):
             assert ref_batch.ready_seconds == fast_batch.ready_seconds
             assert ref_batch.requests == fast_batch.requests
             assert ref_batch.workload == fast_batch.workload
+            # The merge the chunked loop evaluates from the plan's columns.
+            merged = pool[int(plan.base_slot[b])].with_batch_size(int(plan.merged_sizes[b]))
+            assert ref_batch.workload == merged
 
 
 # --------------------------------------------------------------- fast extras

@@ -9,8 +9,8 @@
 3. *Recovery*: a schedule with no crashes never fails or migrates anything,
    and a crash-free run is byte-identical to a run with no schedule at all
    (the fault layer is a strict generalisation of the fault-free loops).
-4. *Offline/online agreement*: without retries, offline replay and online
-   replay of the same trace under the same schedule are the same run.
+4. *Offline/online agreement*: offline replay and online replay of the
+   same trace under the same schedule are the same run, retries included.
 """
 
 import json
@@ -170,16 +170,17 @@ def test_engines_identical_online_under_faults(services, faults, seed):
     down=st.sampled_from([0.01, 0.02, 0.15]),
     slow=st.sampled_from([0.0, 0.5]),
     fault_aware=st.booleans(),
+    budget=st.sampled_from([0, 1, 2]),
+    engine=st.sampled_from(ENGINES),
 )
-def test_offline_matches_online_without_retries(
-    services, seed, horizon, up, down, slow, fault_aware
+def test_offline_fault_run_matches_online_run(
+    services, seed, horizon, up, down, slow, fault_aware, budget, engine
 ):
-    """With no retries, offline and online fault replay are the same run.
+    """Offline fault replay and online replay of the same trace are one run.
 
-    Retry batching is the one intended difference between the two paths:
-    offline sends a retry out as a singleton batch, online re-enqueues it
-    into the open batches.  With ``retry_budget=0`` nothing retries, so
-    fault events, parking, migration and failures must agree exactly.
+    ``serve_trace`` under a fault schedule runs the event loop over
+    ``TraceArrivals``, so fault events, parking, migration, retries (which
+    rejoin the open batches) and failures agree exactly.
     """
     faults = RandomFaults(
         num_shards=NUM_SHARDS,
@@ -187,13 +188,13 @@ def test_offline_matches_online_without_retries(
         mean_uptime_seconds=up,
         mean_downtime_seconds=down,
         slowdown_probability=slow,
-        retry_budget=0,
+        retry_budget=budget,
         seed=seed,
     ).schedule()
     config = ServingConfig(faults=faults, fault_aware=fault_aware)
     trace = _trace(seed)
-    offline = _cluster(services).serve_trace(trace, config=config)
-    online = _cluster(services).serve_online(TraceArrivals(trace), config=config)
+    offline = _cluster(services, engine).serve_trace(trace, config=config)
+    online = _cluster(services, engine).serve_online(TraceArrivals(trace), config=config)
     assert _render(offline) == _render(online)
 
 

@@ -8,7 +8,7 @@ Workload/trace/cluster setup shared with the property suites lives in
 import json
 
 import pytest
-from conftest import make_profile as profile, zero_gap_trace
+from conftest import make_profile as profile, sweep_batches, zero_gap_trace
 
 from repro.analysis.metrics import LatencyStats, percentile
 from repro.gnn.inference import InferenceLatencyModel
@@ -19,7 +19,6 @@ from repro.serving import (
     OpenLoopArrivals,
     POLICY_LOCALITY,
     POLICY_ROUND_ROBIN,
-    RequestQueue,
     RequestTrace,
     ShardedServiceCluster,
     build_reference_clusters,
@@ -57,55 +56,6 @@ class TestLatencyStats:
 
 
 # ---------------------------------------------------------------- requests
-class TestRequestQueue:
-    def test_pops_in_arrival_order(self):
-        w = profile()
-        queue = RequestQueue()
-        queue.push(InferenceRequest(1, 2.0, w))
-        queue.push(InferenceRequest(0, 1.0, w))
-        assert queue.peek_arrival() == 1.0
-        assert queue.pop().request_id == 0
-        assert queue.pop().request_id == 1
-        with pytest.raises(IndexError):
-            queue.pop()
-
-    def test_pop_ready_drains_by_time(self):
-        w = profile()
-        queue = RequestQueue(
-            [InferenceRequest(i, float(i), w) for i in range(5)]
-        )
-        ready = queue.pop_ready(2.5)
-        assert [r.request_id for r in ready] == [0, 1, 2]
-        assert len(queue) == 2
-
-    def test_simultaneous_arrivals_pop_in_fifo_order(self):
-        # Regression: equal timestamps must preserve push (FIFO) order, even
-        # when request ids are not pushed in ascending order.
-        w = profile()
-        queue = RequestQueue()
-        for request_id in (5, 1, 3):
-            queue.push(InferenceRequest(request_id, 2.0, w))
-        queue.push(InferenceRequest(0, 1.0, w))
-        assert queue.peek_arrival() == 1.0
-        assert [queue.pop().request_id for _ in range(4)] == [0, 5, 1, 3]
-
-    def test_pop_ready_keeps_fifo_order_within_one_timestamp(self):
-        w = profile()
-        queue = RequestQueue()
-        for request_id in (2, 0, 1):
-            queue.push(InferenceRequest(request_id, 1.0, w))
-        assert [r.request_id for r in queue.pop_ready(1.0)] == [2, 0, 1]
-
-    def test_duplicate_ids_do_not_raise(self):
-        # Regression: the heap tiebreaker must never compare the (orderless)
-        # request objects themselves, even for identical (time, id) pairs.
-        w = profile()
-        queue = RequestQueue()
-        queue.push(InferenceRequest(7, 1.0, w))
-        queue.push(InferenceRequest(7, 1.0, w))
-        assert len(queue.pop_ready(1.0)) == 2
-
-
 class TestArrivals:
     def test_open_loop_deterministic_and_sorted(self):
         mix = [profile("a"), profile("b")]
@@ -151,7 +101,7 @@ class TestArrivals:
 class TestBatchScheduler:
     def test_batch_size_one_is_identity(self):
         trace = OpenLoopArrivals([profile()], rate_rps=50.0).trace(10)
-        batches = BatchScheduler(max_batch_size=1).schedule(trace)
+        batches = sweep_batches(BatchScheduler(max_batch_size=1), trace)
         assert len(batches) == 10
         for batch, request in zip(batches, trace):
             assert batch.requests == [request]
@@ -161,13 +111,15 @@ class TestBatchScheduler:
     def test_coalesces_up_to_max_batch_size(self):
         w = profile(batch_size=10)
         trace = zero_gap_trace([w] * 10)
-        batches = BatchScheduler(max_batch_size=4, max_wait_seconds=1.0).schedule(trace)
+        scheduler = BatchScheduler(max_batch_size=4, max_wait_seconds=1.0)
+        batches = sweep_batches(scheduler, trace)
         assert [len(b) for b in batches] == [4, 4, 2]
         assert batches[0].workload.batch_size == 40
 
     def test_incompatible_keys_never_mix(self):
         trace = zero_gap_trace([profile("a"), profile("b"), profile("a"), profile("b")])
-        batches = BatchScheduler(max_batch_size=8, max_wait_seconds=1.0).schedule(trace)
+        scheduler = BatchScheduler(max_batch_size=8, max_wait_seconds=1.0)
+        batches = sweep_batches(scheduler, trace)
         assert len(batches) == 2
         for batch in batches:
             assert len({r.workload.batch_key for r in batch.requests}) == 1
@@ -181,7 +133,8 @@ class TestBatchScheduler:
                 InferenceRequest(2, 10.0, w),
             ]
         )
-        batches = BatchScheduler(max_batch_size=8, max_wait_seconds=0.005).schedule(trace)
+        scheduler = BatchScheduler(max_batch_size=8, max_wait_seconds=0.005)
+        batches = sweep_batches(scheduler, trace)
         assert [len(b) for b in batches] == [2, 1]
         # The first batch closes at its timeout deadline, not at an arrival.
         assert batches[0].ready_seconds == pytest.approx(0.005)
@@ -190,7 +143,8 @@ class TestBatchScheduler:
     def test_ready_times_monotone(self):
         mix = [profile("a"), profile("b"), profile("c")]
         trace = OpenLoopArrivals(mix, rate_rps=300.0, seed=7).trace(60)
-        batches = BatchScheduler(max_batch_size=3, max_wait_seconds=0.01).schedule(trace)
+        scheduler = BatchScheduler(max_batch_size=3, max_wait_seconds=0.01)
+        batches = sweep_batches(scheduler, trace)
         ready = [b.ready_seconds for b in batches]
         assert ready == sorted(ready)
         assert sum(len(b) for b in batches) == 60
