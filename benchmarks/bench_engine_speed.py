@@ -8,11 +8,12 @@ asserted byte-identical before any timing is trusted: a fast engine that
 drifts from the reference is a bug, not a speedup.
 
 There are two serving loops: the array-native *chunked* loop, which
-``serve_trace`` selects on the fast engine by default, and the one event
-loop of ``serve_online``, through which every other replay runs — the
-reference engine, and the fast engine with ``chunked=False``.  Each gated
-scale times three runs: reference, fast event loop (``chunked=False``) and
-chunked fast.  All three reports are asserted byte-identical.
+``serve_trace`` takes on the fast engine for a fault-free FIFO replay, and
+the one event loop of ``serve_online``, through which every other replay
+runs — the reference engine's, and the fast engine's
+``serve_online(TraceArrivals(trace))``.  Each gated scale times three runs:
+reference, fast event loop and chunked fast.  All three reports are
+asserted byte-identical.
 
 Acceptance gates (``GATES``, checked by every run): fast (chunked) >= 5x
 reference at 20k requests (quick mode: 5k, >= 3x), and chunked >= its
@@ -62,8 +63,8 @@ from repro.serving import (
     OpenLoopArrivals,
     POLICY_LEAST_LOADED,
     ShardedServiceCluster,
+    TraceArrivals,
 )
-from repro.serving.engine import serve_trace_fast
 from repro.system.service import build_services
 
 #: Output path of the machine-readable results (repo root, tracked by PRs).
@@ -150,21 +151,22 @@ def _timed(
     trace,
     kernel,
     engine: str = ENGINE_FAST,
-    chunked: Optional[bool] = None,
+    event_loop: bool = False,
     repeats: int = TIMING_REPEATS,
 ):
     """Best of ``repeats`` replays, each on a fresh cluster right after one
-    pass of the calibration ``kernel``; ``chunked`` pins the fast engine's
-    offline loop."""
+    pass of the calibration ``kernel``.  A replay is ``serve_trace`` (the
+    chunked loop on the fast engine), or with ``event_loop`` the event loop
+    of ``serve_online`` over the same trace."""
     best = math.inf
     for _ in range(repeats):
         kernel.sample()
         cluster = _cluster(services, engine)
         started = time.perf_counter()
-        if chunked is None:
-            report = cluster.serve_trace(trace)
+        if event_loop:
+            report = cluster.serve_online(TraceArrivals(trace))
         else:
-            report = serve_trace_fast(cluster, trace, chunked=chunked)
+            report = cluster.serve_trace(trace)
         best = min(best, time.perf_counter() - started)
     return report, best
 
@@ -177,8 +179,10 @@ def run_million(services, kernel) -> Dict:
     absent — it would take minutes at this scale.
     """
     trace = _trace(MILLION_SCALE)
-    event_report, event_seconds = _timed(services, trace, kernel, chunked=False, repeats=1)
-    chunked_report, chunked_seconds = _timed(services, trace, kernel, chunked=True)
+    event_report, event_seconds = _timed(
+        services, trace, kernel, event_loop=True, repeats=1
+    )
+    chunked_report, chunked_seconds = _timed(services, trace, kernel)
     if json.dumps(event_report.as_dict(), sort_keys=True) != json.dumps(
         chunked_report.as_dict(), sort_keys=True
     ):
@@ -216,8 +220,8 @@ def run(quick: bool = False, million: Optional[bool] = None) -> Dict:
     for num_requests, min_speedup, min_chunked in scales:
         trace = _trace(num_requests)
         reference_report, reference_seconds = _timed(services, trace, kernel, ENGINE_REFERENCE)
-        event_report, event_seconds = _timed(services, trace, kernel, chunked=False)
-        fast_report, fast_seconds = _timed(services, trace, kernel, chunked=True)
+        event_report, event_seconds = _timed(services, trace, kernel, event_loop=True)
+        fast_report, fast_seconds = _timed(services, trace, kernel)
         rendered = {
             json.dumps(report.as_dict(), sort_keys=True)
             for report in (reference_report, event_report, fast_report)

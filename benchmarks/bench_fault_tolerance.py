@@ -54,7 +54,6 @@ from common import (
     table2_mix,
 )
 from repro.serving import (
-    AdmissionController,
     Autoscaler,
     FAULT_CRASH,
     FAULT_RECOVER,
@@ -175,7 +174,7 @@ def run(quick: bool = False) -> Dict:
             TraceArrivals(trace),
             config=ServingConfig(
                 slo=slo,
-                controller=AdmissionController(policy=slo),
+                admit=True,
                 faults=_outage_schedule(horizon, fault_aware),
             ),
         )
@@ -221,7 +220,8 @@ def run(quick: bool = False) -> Dict:
         TraceArrivals(stress_trace),
         config=ServingConfig(
             slo=slo,
-            controller=AdmissionController(policy=slo, record_decisions=False),
+            admit=True,
+            record_decisions=False,
             autoscaler=Autoscaler(
                 min_shards=2, max_shards=NUM_SHARDS, scale_up_depth=4.0,
                 scale_down_depth=0.5, hysteresis_observations=3,

@@ -48,7 +48,6 @@ from repro.analysis.report import format_distribution, format_timeline
 from repro.serving import (
     Autoscaler,
     ServingConfig,
-    ServingController,
     ShardedServiceCluster,
     SLOPolicy,
 )
@@ -129,9 +128,9 @@ def run(quick: bool = False) -> Dict:
         scale_down_depth=0.5 * MAX_BATCH_SIZE,
         hysteresis_observations=3,
     )
-    controlled = ServingController(
-        controlled_cluster, slo=slo, autoscaler=autoscaler
-    ).serve(clients())
+    controlled = controlled_cluster.serve_online(
+        clients(), config=ServingConfig(slo=slo, admit=True, autoscaler=autoscaler)
+    )
 
     stats_by_label = {
         "uncontrolled": uncontrolled.latency,

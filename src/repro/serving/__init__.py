@@ -26,7 +26,8 @@ traffic regime:
   warm-up penalties.
 * :mod:`repro.serving.config` — :class:`ServingConfig`, the validated
   configuration object behind ``serve_trace(trace, config=...)`` /
-  ``serve_online(source, config=...)``.
+  ``serve_online(source, config=...)``, the one place a run's control
+  plane is set.
 * :mod:`repro.serving.faults` — deterministic shard failure injection
   (:class:`FaultSchedule`: crash / recover / slowdown events, or a seeded
   :class:`RandomFaults` generator) with drain-and-migrate recovery, retry
@@ -47,7 +48,8 @@ traffic regime:
   storms, recover-at-the-same-instant edges) replayed through both engines,
   asserting request conservation, engine byte-identity, no dispatch onto
   dead or deactivated shards, retry-budget compliance and lease accounting
-  on every run (``python -m repro.serving.chaos``).
+  on every run (``python -m repro.serving.chaos``).  The package does not
+  import it, so running it with ``-m`` executes it exactly once.
 * :mod:`repro.serving.engine` — the serving loops, written once: one
   event loop for online co-simulation and for every offline replay the
   chunked loop cannot take, run over a *shard lane* that owns what the two
@@ -116,19 +118,10 @@ from repro.serving.control import (
     Autoscaler,
     DegradationPolicy,
     ScalingEvent,
-    ServingController,
     SLOPolicy,
     TenantQuota,
 )
 from repro.serving.config import ServingConfig
-from repro.serving.chaos import (
-    INVARIANTS,
-    ChaosInvariantError,
-    ChaosScenario,
-    chaos_scenarios,
-    run_chaos_sweep,
-    run_scenario,
-)
 from repro.system.workload import QUALITY_DEGRADED, QUALITY_FULL, QUALITY_TIERS
 
 __all__ = [
@@ -183,16 +176,9 @@ __all__ = [
     "AdmissionDecision",
     "Autoscaler",
     "ScalingEvent",
-    "ServingController",
     "ServingConfig",
     "DegradationPolicy",
     "QUALITY_FULL",
     "QUALITY_DEGRADED",
     "QUALITY_TIERS",
-    "INVARIANTS",
-    "ChaosInvariantError",
-    "ChaosScenario",
-    "chaos_scenarios",
-    "run_chaos_sweep",
-    "run_scenario",
 ]

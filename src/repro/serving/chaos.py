@@ -117,7 +117,6 @@ class ChaosScenario:
     num_requests: int = 60
     rate_rps: float = 400.0
     degradation: bool = False
-    via_config_override: bool = False
 
     def as_dict(self) -> Dict[str, object]:
         """Reproduction record embedded in the failure artifact."""
@@ -128,7 +127,6 @@ class ChaosScenario:
             "num_requests": self.num_requests,
             "rate_rps": self.rate_rps,
             "degradation": self.degradation,
-            "via_config_override": self.via_config_override,
             "topology": self.topology.as_dict() if self.topology else None,
             "provenance": self.provenance,
             "schedule": self.faults.as_dict(),
@@ -281,7 +279,6 @@ def _random_scenarios(count: int, seed: int) -> List[ChaosScenario]:
                 provenance=generator.provenance(),
                 trace_seed=seed * 7 + i,
                 degradation=i % 2 == 1,
-                via_config_override=i % 5 == 0,
             )
         )
     return scenarios
@@ -470,20 +467,11 @@ def run_scenario(services, scenario: ChaosScenario) -> Dict[str, object]:
     renders: Dict[str, str] = {}
     reports = {}
     for engine in ("reference", "fast"):
-        if scenario.via_config_override:
-            cluster = ShardedServiceCluster(
-                services[CHAOS_SYSTEM], num_shards=scenario.num_shards,
-                engine=engine,
-                scheduler=BatchScheduler(max_batch_size=3, max_wait_seconds=0.003),
-            )
-            config_topology = scenario.topology
-        else:
-            cluster = ShardedServiceCluster(
-                services[CHAOS_SYSTEM], num_shards=scenario.num_shards,
-                engine=engine, topology=scenario.topology,
-                scheduler=BatchScheduler(max_batch_size=3, max_wait_seconds=0.003),
-            )
-            config_topology = None
+        cluster = ShardedServiceCluster(
+            services[CHAOS_SYSTEM], num_shards=scenario.num_shards,
+            engine=engine, topology=scenario.topology,
+            scheduler=BatchScheduler(max_batch_size=3, max_wait_seconds=0.003),
+        )
         source = _CountingSource(trace)
         config = ServingConfig(
             slo=slo,
@@ -495,7 +483,6 @@ def run_scenario(services, scenario: ChaosScenario) -> Dict[str, object]:
                 hysteresis_observations=2,
             ),
             faults=scenario.faults,
-            topology=config_topology,
         )
         report = cluster.serve_online(source, config=config)
         renders[engine] = json.dumps(report.as_dict(), sort_keys=True)

@@ -22,6 +22,11 @@ serves traffic in one of two modes (the event loops themselves live in
   are fed back to the source, which is what closes the loop for co-simulated
   client populations.
 
+Each option is set in one place: the engine, scheduler (and its tenant
+weights), dispatch policy, topology and placement on the constructor, and
+a run's control plane (SLO, admission, degradation, autoscaler, faults) in
+the :class:`~repro.serving.config.ServingConfig` passed as ``config=``.
+
 The per-request sojourn time decomposes exactly as::
 
     sojourn = batching_delay + dispatch_delay + service_seconds
@@ -37,7 +42,6 @@ runs — the goodput / shed-rate accounting and the scaling timeline.
 from __future__ import annotations
 
 import zlib
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
@@ -576,6 +580,12 @@ class ShardedServiceCluster:
             raise ValueError(
                 f"unknown serving engine {engine!r}; expected one of {ENGINES}"
             )
+        if placement not in PLACEMENTS:
+            raise ValueError(
+                f"unknown placement {placement!r}; expected one of {PLACEMENTS}"
+            )
+        if topology is not None:
+            topology.validate_for(num_shards)
         self.template = service
         self.shards: List[GNNService] = [service.replicate() for _ in range(num_shards)]
         self.scheduler = scheduler or BatchScheduler(max_batch_size=1)
@@ -583,35 +593,20 @@ class ShardedServiceCluster:
         self.locality_spill_seconds = locality_spill_seconds
         self.rebalance_seconds = rebalance_seconds
         self.engine = engine
-        self._set_topology(topology, placement)
+        self.topology = topology
+        self.placement = placement
+        #: Activation order under the topology.  ``None`` (no topology)
+        #: keeps every dispatch/scaling path on the shard-index ordering,
+        #: which is what keeps domain-unaware runs byte-identical to
+        #: earlier releases.
+        self._order: Optional[tuple] = (
+            topology.activation_order(placement) if topology is not None else None
+        )
         self._reset_dispatch_state()
         # Serve-transition cache shared by every fast-engine run on this
         # cluster: the shards are replicas of one template, so a transition
         # observed on one shard replays soundly on any other.
         self._serve_cache: Dict[tuple, tuple] = {}
-
-    def _set_topology(
-        self, topology: Optional[ClusterTopology], placement: str
-    ) -> None:
-        """Install a failure-domain topology and its activation order.
-
-        ``topology=None`` leaves every dispatch/scaling path on the
-        historical shard-index ordering (``self._order is None``), which is
-        what keeps domain-unaware runs byte-identical to earlier releases.
-        """
-        if placement not in PLACEMENTS:
-            raise ValueError(
-                f"unknown placement {placement!r}; expected one of {PLACEMENTS}"
-            )
-        if topology is not None:
-            topology.validate_for(self.num_shards)
-            order: Optional[tuple] = topology.activation_order(placement)
-        else:
-            order = None
-        self.topology = topology
-        self.placement = placement
-        #: Activation order under the topology (None = identity/range order).
-        self._order = order
 
     def _reset_dispatch_state(self) -> None:
         """Reset per-run dispatch memory (round-robin cursor, shard keys).
@@ -736,42 +731,6 @@ class ShardedServiceCluster:
             return home
         return min(candidates, key=lambda i: (busy_until[i], i))
 
-    @contextmanager
-    def _run_overrides(self, config: "ServingConfig"):
-        """Apply a config's engine/scheduler overrides for one run.
-
-        The cluster's construction-time choices are swapped in-place and
-        restored on exit, so a per-run ``ServingConfig(engine=...,
-        tenant_weights=...)`` never leaks into later runs on the same
-        cluster.
-        """
-        engine = self.engine
-        scheduler = self.scheduler
-        topology = self.topology
-        placement = self.placement
-        order = self._order
-        try:
-            if config.engine is not None:
-                self.engine = config.engine
-            if config.tenant_weights is not None:
-                self.scheduler = BatchScheduler(
-                    max_batch_size=scheduler.max_batch_size,
-                    max_wait_seconds=scheduler.max_wait_seconds,
-                    tenant_weights=dict(config.tenant_weights),
-                )
-            if config.topology is not None or config.placement is not None:
-                self._set_topology(
-                    config.topology if config.topology is not None else topology,
-                    config.placement if config.placement is not None else placement,
-                )
-            yield
-        finally:
-            self.engine = engine
-            self.scheduler = scheduler
-            self.topology = topology
-            self.placement = placement
-            self._order = order
-
     # --------------------------------------------------------------- serving
     def serve_trace(
         self, trace: RequestTrace, *, config: Optional["ServingConfig"] = None
@@ -786,9 +745,7 @@ class ShardedServiceCluster:
         (the offline path never sheds); a fault schedule injects shard
         crash/recover/slowdown events — doomed batches migrate to
         survivors, in-flight failures retry with backoff into the open
-        batches, and the report carries a faults section;
-        ``engine`` / ``tenant_weights`` / ``topology`` / ``placement``
-        override the cluster's own choices for this run.  Admission
+        batches, and the report carries a faults section.  Admission
         control, degradation and autoscaling are online-only and rejected
         here.
 
@@ -808,14 +765,11 @@ class ShardedServiceCluster:
         if config.resolved_controller() is not None:
             raise ValueError(
                 "serve_trace is offline and never sheds: admission control "
-                "(controller/admit/degradation) requires serve_online"
+                "(admit/degradation) requires serve_online"
             )
         if not len(trace):
             raise ValueError("cannot serve an empty trace")
-        with self._run_overrides(config):
-            return serve_trace(
-                self, trace, config.scoring_slo(), config.resolved_faults()
-            )
+        return serve_trace(self, trace, config.slo, config.faults)
 
     def serve_online(
         self, source, *, config: Optional["ServingConfig"] = None
@@ -828,8 +782,8 @@ class ShardedServiceCluster:
         :class:`~repro.serving.requests.ClosedLoopClients` co-simulates a
         client population fed by this loop's actual finish times.
         ``config`` (a :class:`~repro.serving.config.ServingConfig`) carries
-        the whole control plane plus per-run engine, tenant-weight and
-        topology overrides.
+        the whole control plane; the engine, scheduler and topology are the
+        cluster's own.
 
         The loop interleaves arrivals and batch-timeout deadlines in
         simulated-time order (ties fire the deadline first), and batches close under the same
@@ -879,15 +833,14 @@ class ShardedServiceCluster:
                 f"autoscaler max_shards ({autoscaler.max_shards}) exceeds the "
                 f"cluster's shard count ({self.num_shards})"
             )
-        with self._run_overrides(config):
-            return serve_online(
-                self,
-                source,
-                config.scoring_slo(),
-                config.resolved_controller(),
-                autoscaler,
-                config.resolved_faults(),
-            )
+        return serve_online(
+            self,
+            source,
+            config.slo,
+            config.resolved_controller(),
+            autoscaler,
+            config.faults,
+        )
 
     def serve_workloads(self, workloads: List[WorkloadProfile]) -> ClusterReport:
         """Serve a plain workload list as a zero-gap trace (back-to-back)."""

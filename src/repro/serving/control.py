@@ -10,9 +10,9 @@ cluster's online event loop (:meth:`~repro.serving.cluster.ShardedServiceCluster
 * :class:`AdmissionController` — sheds a request at arrival when its
   predicted sojourn (the chosen shard's queued backlog, i.e. queue depth
   times the calibrated per-batch cost, plus the request's own estimated
-  service time) would violate the workload's SLO.  Every decision is
-  recorded, so the prediction invariant (admit ⇔ predicted ≤ SLO) is
-  testable after the fact.  With tenant quotas configured the controller is
+  service time) would violate the workload's SLO.  Every decision lands in
+  the run report's ``decisions`` log, so the prediction invariant (admit ⇔
+  predicted ≤ SLO) is testable after the fact.  With tenant quotas configured the controller is
   tiered: a hard ``limit_rps`` cap sheds first; traffic within a tenant's
   ``guaranteed_rps`` token bucket is always admitted (quota conservation —
   a tenant inside its guarantee is never shed); the remainder rides the
@@ -29,9 +29,11 @@ randomness, so controlled runs are exactly reproducible.  The policies are
 engine-agnostic: the one online loop (:mod:`repro.serving.engine`) drives
 the same controller objects with the same observation sequences under
 either engine, which is what keeps controlled runs byte-identical across
-engines.  For 100k-request runs the per-decision log
-can be disabled (``AdmissionController(record_decisions=False)``) — the
-verdicts themselves are unaffected.
+engines.  A run's controller is built fresh from its
+:class:`~repro.serving.config.ServingConfig`, so no bucket state outlives
+the run.  For 100k-request runs the per-decision log can be disabled
+(``ServingConfig(record_decisions=False)``) — the verdicts themselves are
+unaffected.
 """
 
 from __future__ import annotations
@@ -347,9 +349,11 @@ class AdmissionController:
        guarantee — weighted shedding instead of arrival-order shedding.
 
     All tiers are pure simulated-time bookkeeping on the arrival sequence,
-    so both serving engines drive identical decisions.  The decision log
-    can be disabled (``record_decisions=False``) for memory-bounded
-    100k-request runs — verdicts are unaffected.
+    so both serving engines drive identical decisions.  The serving loop
+    logs every decision in the report unless ``record_decisions=False``
+    (memory-bounded 100k-request runs) — verdicts are unaffected.  A
+    controller serves one run: its token buckets are anchored to that
+    run's simulated clock.
 
     ``batch_aware=True`` opts into batching-aware admission: the serving
     loops then predict with the *marginal* cost of joining the batch
@@ -380,7 +384,6 @@ class AdmissionController:
         self.record_decisions = record_decisions
         self.batch_aware = batch_aware
         self.degradation = degradation
-        self.decisions: List[AdmissionDecision] = []
         self._guaranteed: Dict[str, Optional[_TokenBucket]] = {}
         self._limits: Dict[str, Optional[_TokenBucket]] = {}
         self._excess: Dict[str, Optional[_TokenBucket]] = {}
@@ -408,20 +411,6 @@ class AdmissionController:
             cheaper = (degraded.k, degraded.num_layers) != (workload.k, workload.num_layers)
             self._degraded_profiles[workload] = degraded if cheaper else None
         return self._degraded_profiles[workload]
-
-    def reset(self) -> None:
-        """Drop all token-bucket state (start of a serving run).
-
-        Both serving engines call this when a run begins, mirroring
-        ``Autoscaler.start``: simulated clocks restart at every run, so
-        buckets anchored to a previous run's timeline must not leak into
-        the next one (a depleted guarantee would otherwise shed
-        within-guarantee traffic and break quota conservation).  The
-        decision log is an audit trail and is deliberately kept.
-        """
-        self._guaranteed.clear()
-        self._limits.clear()
-        self._excess.clear()
 
     def _bucket(
         self, table: Dict[str, Optional[_TokenBucket]], tenant: str,
@@ -491,7 +480,7 @@ class AdmissionController:
                 admitted, reason = True, "weighted-excess"
             else:
                 admitted, reason = False, "overload"
-        decision = AdmissionDecision(
+        return AdmissionDecision(
             request_id=request.request_id,
             seconds=now_seconds,
             predicted_sojourn=predicted,
@@ -501,9 +490,6 @@ class AdmissionController:
             reason=reason,
             degraded=degraded_tier,
         )
-        if self.record_decisions:
-            self.decisions.append(decision)
-        return decision
 
 
 @dataclass(frozen=True)
@@ -689,60 +675,3 @@ class Autoscaler:
         """The scaling history, oldest first."""
         return list(self.events)
 
-
-class ServingController:
-    """Bundle an SLO, admission control and an autoscaler for one cluster.
-
-    Convenience facade over
-    :meth:`~repro.serving.cluster.ShardedServiceCluster.serve_online`: builds
-    the admission controller from the policy and wires everything into the
-    cluster's event loop.  ``slo=None`` disables shedding (the run is then
-    only scored against the SLO if one is given), ``autoscaler=None`` keeps
-    every shard active throughout, and ``faults`` (a
-    :class:`~repro.serving.faults.FaultSchedule`) injects shard
-    crash/recover/slowdown events into every run this controller serves.
-    """
-
-    def __init__(
-        self,
-        cluster,
-        slo: Optional[SLOPolicy] = None,
-        autoscaler: Optional[Autoscaler] = None,
-        record_decisions: bool = True,
-        batch_aware: bool = False,
-        faults=None,
-        degradation: Optional[DegradationPolicy] = None,
-    ) -> None:
-        if autoscaler is not None and autoscaler.max_shards > cluster.num_shards:
-            raise ValueError(
-                f"autoscaler max_shards ({autoscaler.max_shards}) exceeds the "
-                f"cluster's shard count ({cluster.num_shards})"
-            )
-        self.cluster = cluster
-        self.slo = slo
-        self.autoscaler = autoscaler
-        self.faults = faults
-        self.admission = (
-            AdmissionController(
-                slo,
-                record_decisions=record_decisions,
-                batch_aware=batch_aware,
-                degradation=degradation,
-            )
-            if slo is not None
-            else None
-        )
-
-    def serve(self, source):
-        """Drive ``source`` through the cluster under this control plane."""
-        from repro.serving.config import ServingConfig
-
-        return self.cluster.serve_online(
-            source,
-            config=ServingConfig(
-                slo=self.slo,
-                controller=self.admission,
-                autoscaler=self.autoscaler,
-                faults=self.faults,
-            ),
-        )

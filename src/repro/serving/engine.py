@@ -723,7 +723,7 @@ def _serve_trace_chunked(
     trace,
     slo: Optional["SLOPolicy"],
 ):
-    """Array-native offline replay: the chunked core of ``serve_trace_fast``.
+    """Array-native offline replay: the fast engine's ``serve_trace`` loop.
 
     Batch formation, per-request accounting and the streaming aggregates all
     operate on NumPy views of the trace's structure-of-arrays form
@@ -746,10 +746,10 @@ def _serve_trace_chunked(
     * sums fold left-to-right from the same initial values
       (:func:`_left_fold_sum`, ``StreamingLatencyStats.extend``).
 
-    Callers gate on eligibility: no fault schedule and no fair-mode
-    scheduler (both make the next event state-dependent in ways the plan
-    cannot precompute), otherwise ``serve_trace_fast`` replays through the
-    event loop.
+    :func:`serve_trace` gates on eligibility: no fault schedule and no
+    fair-mode scheduler (both make the next event state-dependent in ways
+    the plan cannot precompute), otherwise it replays through the event
+    loop.
     """
     cluster._reset_dispatch_state()
     arrays = trace.arrays()
@@ -904,35 +904,13 @@ def serve_trace(
     slo: Optional["SLOPolicy"],
     faults: Optional[FaultSchedule],
 ) -> ClusterReport:
-    """Offline replay on the cluster's engine (``serve_trace``'s loop)."""
-    if cluster.engine == ENGINE_FAST:
-        return serve_trace_fast(cluster, trace, slo, faults)
-    return serve_online(cluster, TraceArrivals(trace), slo, None, None, faults)
+    """Offline replay on the cluster's engine (``serve_trace``'s loop).
 
-
-def serve_trace_fast(
-    cluster: "ShardedServiceCluster",
-    trace: RequestTrace,
-    slo: Optional["SLOPolicy"] = None,
-    faults: Optional[FaultSchedule] = None,
-    chunked: Optional[bool] = None,
-) -> ClusterReport:
-    """Fast offline replay — the ``engine="fast"`` path of ``serve_trace``.
-
-    ``chunked`` selects the array-native loop (:func:`_serve_trace_chunked`)
-    over the event loop; the default ``None`` auto-enables it whenever the
-    run is eligible — no fault schedule, no fair-mode scheduler, a non-empty
-    trace — and otherwise replays the trace through :func:`serve_online`
-    with no control plane attached.  Both paths produce byte-identical
-    reports; ``chunked=False`` forces the event loop (the equivalence suite
-    and the speed benchmark compare the two)."""
-    if chunked is None:
-        chunked = faults is None and not cluster.scheduler.fair and len(trace) > 0
-    if chunked:
-        if faults is not None:
-            raise ValueError("chunked replay does not support fault schedules")
-        if cluster.scheduler.fair:
-            raise ValueError("chunked replay does not support fair-mode batching")
+    The fast engine takes the chunked loop when the run is fault-free and
+    FIFO-batched; every other replay is :func:`serve_online` over
+    :class:`~repro.serving.requests.TraceArrivals` with no control plane
+    attached.  Both give byte-identical reports."""
+    if cluster.engine == ENGINE_FAST and faults is None and not cluster.scheduler.fair:
         return _serve_trace_chunked(cluster, trace, slo)
     return serve_online(cluster, TraceArrivals(trace), slo, None, None, faults)
 
@@ -973,8 +951,6 @@ def serve_online(
         first_peek = source.peek_time()
         start_seconds = first_peek if first_peek is not None else 0.0
         lane.active_count = autoscaler.start(start_seconds)
-    if admission is not None:
-        admission.reset()
     first_arrival: Optional[float] = None
     # Guaranteed-tier tenants whose open-queue pressure a tenant-aware
     # autoscaler watches separately from the global depth.

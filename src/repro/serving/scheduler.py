@@ -90,11 +90,6 @@ class RequestBatch:
         total = sum(request.workload.batch_size for request in self.requests)
         return base.with_batch_size(total)
 
-    @property
-    def first_arrival_seconds(self) -> float:
-        """Arrival time of the earliest member request."""
-        return self.requests[0].arrival_seconds
-
     def batching_delay(self, request: InferenceRequest) -> float:
         """Time ``request`` spent waiting for its batch to close."""
         return self.ready_seconds - request.arrival_seconds
@@ -128,6 +123,10 @@ class BatchScheduler:
         if max_wait_seconds < 0:
             raise ValueError("max_wait_seconds must be non-negative")
         if tenant_weights is not None:
+            if not tenant_weights:
+                raise ValueError(
+                    "tenant_weights must not be empty (None disables fair mode)"
+                )
             for tenant, weight in tenant_weights.items():
                 if weight <= 0:
                     raise ValueError(f"weight for tenant {tenant!r} must be positive")
@@ -387,7 +386,7 @@ class TenantFairBatcher:
         self.cap = scheduler.max_batch_size
         self.wait = scheduler.max_wait_seconds
         self.weights = dict(scheduler.tenant_weights)
-        self._total_weight = sum(self.weights.values()) or 1.0
+        self._total_weight = sum(self.weights.values())
         self._open: Dict[Hashable, _OpenFairBatch] = {}
         self._spill: Dict[Hashable, Dict[str, Deque[InferenceRequest]]] = {}
         self._deficit: Dict[Hashable, Dict[str, float]] = {}

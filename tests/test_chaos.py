@@ -6,11 +6,15 @@ the default test run so invariant regressions surface locally.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import repro.serving.chaos as chaos_module
-from repro.serving import (
+from repro.serving.chaos import (
     INVARIANTS,
     ChaosInvariantError,
     chaos_scenarios,
@@ -41,9 +45,6 @@ def test_scenarios_are_deterministic_and_cover_required_races():
     # Retry budgets vary, including the zero-budget storm.
     assert {s.faults.retry_budget for s in first} != {0}
     assert any(s.faults.retry_budget == 0 for s in first)
-    # Both config-override and constructor topology paths are exercised.
-    assert any(s.via_config_override for s in first)
-    assert any(not s.via_config_override for s in first)
 
 
 def test_sweep_passes_all_invariants(services):
@@ -87,3 +88,20 @@ def test_violation_writes_reproduction_artifact(services, tmp_path, monkeypatch)
     assert artifact["name"] == excinfo.value.scenario
     # The artifact embeds enough to rebuild the failing schedule.
     assert "schedule" in artifact and "provenance" in artifact
+
+
+def test_module_entry_point_runs_without_runtime_warning():
+    """``python -m repro.serving.chaos`` executes the module once: the
+    package must not import it, or runpy warns that it is already in
+    ``sys.modules`` before running it as ``__main__``."""
+    src = str(Path(chaos_module.__file__).resolve().parents[2])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
+    )
+    result = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "repro.serving.chaos",
+         "--examples", "1", "--seed", "0"],
+        env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert result.returncode == 0, result.stderr

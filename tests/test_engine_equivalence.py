@@ -34,7 +34,6 @@ from repro.serving import (
     OpenLoopArrivals,
     RequestTrace,
     ServingConfig,
-    ServingController,
     ShardedServiceCluster,
     SLOPolicy,
     TenantQuota,
@@ -156,7 +155,10 @@ class TestOnlineEquivalence:
                 WORKLOAD_POOL, num_clients=num_clients, think_seconds=0.005,
                 seed=seed, max_requests=30, retry_backoff_seconds=0.02,
             )
-            return ServingController(cluster, slo=slo, autoscaler=scaler).serve(clients)
+            return cluster.serve_online(
+                clients,
+                config=ServingConfig(slo=slo, admit=True, autoscaler=scaler),
+            )
 
         assert _render(run(ENGINE_REFERENCE)) == _render(run(ENGINE_FAST))
 
@@ -299,10 +301,12 @@ class TestTenantEquivalence:
                 min_shards=1, max_shards=3, scale_up_depth=2.0,
                 scale_down_depth=0.5, hysteresis_observations=2,
             )
-            controller = ServingController(
-                cluster, slo=self._slo(), autoscaler=scaler, batch_aware=True
+            return cluster.serve_online(
+                TraceArrivals(trace),
+                config=ServingConfig(
+                    slo=self._slo(), admit=True, autoscaler=scaler, batch_aware=True
+                ),
             )
-            return controller.serve(TraceArrivals(trace))
 
         reference, fast = run(ENGINE_REFERENCE), run(ENGINE_FAST)
         assert _render(reference) == _render(fast)
@@ -363,8 +367,10 @@ class TestTenantEquivalence:
             cluster = _cluster(
                 services, name, engine, num_shards=num_shards, scheduler=scheduler
             )
-            controller = ServingController(cluster, slo=slo, batch_aware=True)
-            return controller.serve(TraceArrivals(trace))
+            return cluster.serve_online(
+                TraceArrivals(trace),
+                config=ServingConfig(slo=slo, admit=True, batch_aware=True),
+            )
 
         assert _render(run(ENGINE_REFERENCE)) == _render(run(ENGINE_FAST))
 
@@ -525,22 +531,23 @@ class TestFastEngineExtras:
 
         def run(record):
             cluster = _cluster(services, "DynPre", ENGINE_FAST)
-            controller = ServingController(cluster, slo=slo, record_decisions=record)
             clients = ClosedLoopClients(
                 WORKLOAD_POOL, num_clients=8, think_seconds=0.0, seed=3,
                 max_requests=40, retry_backoff_seconds=0.05,
             )
-            report = controller.serve(clients)
-            return controller, report
+            return cluster.serve_online(
+                clients,
+                config=ServingConfig(slo=slo, admit=True, record_decisions=record),
+            )
 
-        recorded, report_a = run(True)
-        unrecorded, report_b = run(False)
+        report_a = run(True)
+        report_b = run(False)
         assert _render(report_a) == _render(report_b)
-        assert len(recorded.admission.decisions) > 0
-        assert len(report_a.decisions) == len(recorded.admission.decisions)
-        # The flag bounds memory: neither the controller log nor the
-        # report's decision list accumulates.
-        assert unrecorded.admission.decisions == []
+        # The report's list is the one decision log: one entry per
+        # admission verdict, its sheds matching the goodput section.
+        assert len(report_a.decisions) > 0
+        assert sum(not d.admitted for d in report_a.decisions) == report_a.goodput.shed
+        # The flag bounds memory: the decision list does not accumulate.
         assert report_b.decisions == []
 
     def test_shard_heap_matches_linear_min(self):

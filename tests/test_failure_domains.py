@@ -11,8 +11,8 @@ Covers the correlated-failure layer end to end:
   leave the independent per-shard stream bit-identical, and the
   :meth:`provenance` dict that rebuilds the exact schedule.
 * Serving integration — per-domain outage reporting in both engines,
-  spread placement activating across domains, topology via
-  ``ServingConfig`` overrides, the ``no_degrade`` tenant buy-out and
+  spread placement activating across domains, constructor placement
+  validation, the ``no_degrade`` tenant buy-out and
   per-tenant ``degraded_utility`` floors.
 * Late recovery — a recover past ``horizon_seconds`` (and past an
   autoscaler scale-down/scale-up cycle) is still applied in both engines.
@@ -312,21 +312,9 @@ def test_spread_placement_activates_across_domains(services):
     assert dense.shard_requests[2] == 0 and dense.shard_requests[3] == 0
 
 
-def test_topology_via_serving_config_matches_constructor(services):
-    topo = ClusterTopology.uniform(4, 2)
-    trace = _trace(9)
-    via_ctor = _cluster(services, topology=topo, placement="spread").serve_trace(trace)
-    bare = _cluster(services)
-    via_config = bare.serve_trace(
-        trace, config=ServingConfig(topology=topo, placement="spread")
-    )
-    assert _render(via_ctor) == _render(via_config)
-    # The override is per-run: the bare cluster's installed topology,
-    # placement and activation order are restored afterwards.
-    assert bare.topology is None
-    assert bare._order is None
+def test_cluster_rejects_unknown_placement(services):
     with pytest.raises(ValueError, match="unknown placement"):
-        ServingConfig(placement="sparse")
+        _cluster(services, topology=ClusterTopology.uniform(4, 2), placement="sparse")
 
 
 # --------------------------------------------------- tenant degraded buy-out

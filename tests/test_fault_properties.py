@@ -14,13 +14,13 @@
 """
 
 import json
+from dataclasses import replace
 
 import pytest
 from conftest import WORKLOAD_POOL
 from hypothesis import given, settings, strategies as st
 
 from repro.serving import (
-    AdmissionController,
     Autoscaler,
     BatchScheduler,
     ENGINES,
@@ -117,9 +117,7 @@ def test_online_conservation_with_admission(services, faults, seed):
     source = _CountingSource(trace)
     report = _cluster(services).serve_online(
         source,
-        config=ServingConfig(
-            slo=slo, controller=AdmissionController(policy=slo), faults=faults
-        ),
+        config=ServingConfig(slo=slo, admit=True, faults=faults),
     )
     goodput = report.goodput
     assert goodput.offered == len(trace)
@@ -153,7 +151,7 @@ def test_engines_identical_online_under_faults(services, faults, seed):
             TraceArrivals(trace),
             config=ServingConfig(
                 slo=slo,
-                controller=AdmissionController(policy=slo),
+                admit=True,
                 autoscaler=Autoscaler(min_shards=1, max_shards=NUM_SHARDS),
                 faults=faults,
             ),
@@ -191,7 +189,7 @@ def test_offline_fault_run_matches_online_run(
         retry_budget=budget,
         seed=seed,
     ).schedule()
-    config = ServingConfig(faults=faults, fault_aware=fault_aware)
+    config = ServingConfig(faults=replace(faults, fault_aware=fault_aware))
     trace = _trace(seed)
     offline = _cluster(services, engine).serve_trace(trace, config=config)
     online = _cluster(services, engine).serve_online(TraceArrivals(trace), config=config)
@@ -484,7 +482,7 @@ def test_tenant_aware_scaling_serves_more_guaranteed_traffic(services):
             TraceArrivals(trace),
             config=ServingConfig(
                 slo=slo,
-                controller=AdmissionController(policy=slo),
+                admit=True,
                 autoscaler=scaler,
                 faults=faults,
             ),

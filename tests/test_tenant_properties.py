@@ -31,7 +31,7 @@ from repro.serving import (
     InferenceRequest,
     OpenLoopArrivals,
     RequestTrace,
-    ServingController,
+    ServingConfig,
     ShardedServiceCluster,
     SLOPolicy,
     TenantQuota,
@@ -48,8 +48,10 @@ def _serve(services, trace, slo, name="CPU", num_shards=2, scheduler=None,
         num_shards=num_shards,
         scheduler=scheduler or BatchScheduler(max_batch_size=2, max_wait_seconds=0.002),
     )
-    controller = ServingController(cluster, slo=slo, batch_aware=batch_aware)
-    return controller.serve(TraceArrivals(trace))
+    return cluster.serve_online(
+        TraceArrivals(trace),
+        config=ServingConfig(slo=slo, admit=True, batch_aware=batch_aware),
+    )
 
 
 def _uniform_tenant_trace(rates, num_per_tenant, workload=None, seed=0):
@@ -181,8 +183,8 @@ def test_shedding_proportional_to_excess_over_guarantee(
 
 
 def test_admission_buckets_reset_between_runs(services):
-    """Reusing one ServingController across runs must not leak bucket
-    state: the second run's simulated clock restarts at 0, so a depleted
+    """Reusing one ServingConfig across runs must not leak bucket state:
+    the second run's simulated clock restarts at 0, so a depleted
     guarantee from run one would otherwise shed within-guarantee traffic."""
     rate = 5.0
     trace = _uniform_tenant_trace({"steady": rate}, 20, seed=7)
@@ -191,9 +193,9 @@ def test_admission_buckets_reset_between_runs(services):
         per_tenant={"steady": TenantQuota(guaranteed_rps=rate)},
     )
     cluster = ShardedServiceCluster(services["CPU"], num_shards=2)
-    controller = ServingController(cluster, slo=slo)
-    first = controller.serve(TraceArrivals(trace))
-    second = controller.serve(TraceArrivals(trace))
+    config = ServingConfig(slo=slo, admit=True)
+    first = cluster.serve_online(TraceArrivals(trace), config=config)
+    second = cluster.serve_online(TraceArrivals(trace), config=config)
     assert first.num_shed == 0
     assert second.num_shed == 0
 
